@@ -5,9 +5,8 @@
 use std::collections::HashMap;
 
 use rdma::qp::{QpConfig, QpNum};
-use rdma::sim::{NicOutput, SimNic};
+use rdma::sim::SimNic;
 use rdma::verbs::{WorkRequest, WrOp};
-use rdma::wire::RocePacket;
 use simnet::sim::{Ctx, Node, NodeId, Packet};
 use simnet::stats::Histogram;
 use simnet::time::{Duration, Instant};
@@ -37,10 +36,6 @@ pub enum ClientMode {
 /// latencies.
 pub struct RdmaClientNode {
     nic: SimNic,
-    /// NIC output scratch, reused across deliveries.
-    nic_out: NicOutput,
-    /// Packet-build scratch for posts.
-    tx_scratch: Vec<RocePacket>,
     qpn: QpNum,
     pool_rkey: u32,
     pool_size: u64,
@@ -81,8 +76,6 @@ impl RdmaClientNode {
         nic.create_qp(QpConfig::new(local_qpn, remote_qpn), pool_node);
         RdmaClientNode {
             nic,
-            nic_out: NicOutput::default(),
-            tx_scratch: Vec::new(),
             qpn: local_qpn,
             pool_rkey,
             pool_size,
@@ -142,17 +135,8 @@ impl RdmaClientNode {
                 len: self.record_size,
             },
         };
-        self.tx_scratch.clear();
-        match self
-            .nic
-            .post_into(self.qpn, wr, ctx.now(), &mut self.tx_scratch)
-        {
-            Ok(dst) => {
-                for roce in self.tx_scratch.drain(..) {
-                    ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-                }
-            }
-            Err(e) => panic!("client post failed: {e}"),
+        if let Err(e) = self.nic.post_and_send(self.qpn, wr, 1, ctx) {
+            panic!("client post failed: {e}");
         }
     }
 
@@ -205,12 +189,7 @@ impl Node for RdmaClientNode {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        self.nic_out.clear();
-        self.nic
-            .handle_packet_into(&pkt, ctx.now(), &mut self.nic_out);
-        for (dst, roce) in self.nic_out.emit.drain(..) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-        }
+        self.nic.deliver(pkt, 1, ctx);
         for c in self.nic.poll(64) {
             if let Some(t0) = self.started_at.remove(&c.wr_id) {
                 self.completed += 1;
@@ -234,9 +213,7 @@ impl Node for RdmaClientNode {
             TAG_ISSUE => self.fill_pipeline(ctx),
             TAG_BATCH_POST => self.post_next_in_batch(ctx),
             TAG_NIC_TICK => {
-                for (dst, roce) in self.nic.tick(ctx.now()) {
-                    ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-                }
+                self.nic.tick_and_send(1, ctx);
                 ctx.set_timer(Duration::from_micros(100), TAG_NIC_TICK);
             }
             _ => {}
@@ -271,7 +248,6 @@ mod cowbird_pool {
 
     pub struct SimplePool {
         nic: SimNic,
-        nic_out: NicOutput,
     }
 
     impl Node for SimplePool {
@@ -279,17 +255,10 @@ mod cowbird_pool {
             ctx.set_timer(Duration::from_micros(100), 0);
         }
         fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-            self.nic_out.clear();
-            self.nic
-                .handle_packet_into(&pkt, ctx.now(), &mut self.nic_out);
-            for (dst, roce) in self.nic_out.emit.drain(..) {
-                ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-            }
+            self.nic.deliver(pkt, 1, ctx);
         }
         fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx) {
-            for (dst, roce) in self.nic.tick(ctx.now()) {
-                ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-            }
+            self.nic.tick_and_send(1, ctx);
             ctx.set_timer(Duration::from_micros(100), 0);
         }
     }
@@ -300,14 +269,7 @@ mod cowbird_pool {
         let region = Region::new(size as usize);
         let rkey = nic.register(region);
         nic.create_qp(QpConfig::new(601, 501), client);
-        (
-            SimplePool {
-                nic,
-                nic_out: NicOutput::default(),
-            },
-            rkey,
-            size,
-        )
+        (SimplePool { nic }, rkey, size)
     }
 }
 

@@ -11,7 +11,7 @@ use cowbird_engine::core::EngineConfig;
 use cowbird_engine::sim::{EngineNode, PoolNode};
 use rdma::mem::Region;
 use rdma::qp::QpConfig;
-use rdma::sim::{NicOutput, SimNic};
+use rdma::sim::SimNic;
 use simnet::link::{LinkId, LinkParams};
 use simnet::sim::{Ctx, Node, NodeId, Packet, Sim};
 use simnet::stats::Histogram;
@@ -36,8 +36,6 @@ const CHASE_SLOT_PAGE: u64 = 4096;
 /// whole point).
 pub struct CowbirdClientNode {
     nic: SimNic,
-    /// NIC output scratch, reused across deliveries (zero-alloc hot path).
-    nic_out: NicOutput,
     channel: Channel,
     record_size: u32,
     inflight_target: usize,
@@ -376,12 +374,7 @@ impl Node for CowbirdClientNode {
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
         // Engine traffic against the channel region: NIC-only, no host CPU.
-        self.nic_out.clear();
-        self.nic
-            .handle_packet_into(&pkt, ctx.now(), &mut self.nic_out);
-        for (dst, roce) in self.nic_out.emit.drain(..) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-        }
+        self.nic.deliver(pkt, 1, ctx);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx) {
@@ -394,9 +387,7 @@ impl Node for CowbirdClientNode {
                 }
             }
             TAG_NIC_TICK => {
-                for (dst, roce) in self.nic.tick(ctx.now()) {
-                    ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-                }
+                self.nic.tick_and_send(1, ctx);
                 ctx.set_timer(Duration::from_micros(100), TAG_NIC_TICK);
             }
             _ => {}
@@ -648,7 +639,6 @@ fn build_rig_inner(
 
     let client = CowbirdClientNode {
         nic,
-        nic_out: NicOutput::default(),
         channel,
         record_size: cfg.record_size,
         inflight_target: cfg.inflight,

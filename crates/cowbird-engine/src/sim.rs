@@ -16,9 +16,8 @@ use simnet::fasthash::FastHashMap;
 
 use rdma::mem::{Region, Rkey};
 use rdma::qp::{QpConfig, QpNum};
-use rdma::sim::{NicOutput, SimNic};
+use rdma::sim::SimNic;
 use rdma::verbs::{Completion, WorkRequest, WrKind, WrOp};
-use rdma::wire::RocePacket;
 use simnet::sim::{Ctx, Node, NodeId, Packet};
 use simnet::time::Duration;
 
@@ -98,10 +97,6 @@ pub struct EngineNode {
     /// Priority of data-path RDMA packets.
     pub data_prio: u8,
     nic_tick: Duration,
-    /// Packet-build scratch for posts, reused across WRs (zero-alloc path).
-    tx_scratch: Vec<RocePacket>,
-    /// NIC output scratch, reused across deliveries.
-    nic_out: NicOutput,
     /// Completion-batch scratch for [`SimNic::poll_into`], reused across
     /// reaps (zero-alloc completion path).
     cq_scratch: Vec<Completion>,
@@ -137,8 +132,6 @@ impl EngineNode {
             probe_prio: 7,
             data_prio: 1,
             nic_tick: Duration::from_micros(50),
-            tx_scratch: Vec::new(),
-            nic_out: NicOutput::default(),
             cq_scratch: Vec::new(),
             data_scratch: Vec::new(),
             ops_scratch: Vec::new(),
@@ -219,18 +212,11 @@ impl EngineNode {
         &self.nic
     }
 
-    /// Post one WR and transmit its packets, both through reused scratch and
-    /// the NIC payload arena — no per-WR allocation in steady state. Post
-    /// errors are fatal for the engine (`what` names the failing caller).
+    /// Post one WR and transmit its packets. Post errors are fatal for the
+    /// engine (`what` names the failing caller).
     fn post_and_send(&mut self, qpn: QpNum, wr: WorkRequest, prio: u8, ctx: &mut Ctx, what: &str) {
-        self.tx_scratch.clear();
-        match self.nic.post_into(qpn, wr, ctx.now(), &mut self.tx_scratch) {
-            Ok(dst) => {
-                for roce in self.tx_scratch.drain(..) {
-                    ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, prio));
-                }
-            }
-            Err(e) => panic!("engine {what} failed: {e}"),
+        if let Err(e) = self.nic.post_and_send(qpn, wr, prio, ctx) {
+            panic!("engine {what} failed: {e}");
         }
     }
 
@@ -666,27 +652,14 @@ impl Node for EngineNode {
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
         self.stamp_now(ctx);
-        self.nic_out.clear();
-        self.nic
-            .handle_packet_into(&pkt, ctx.now(), &mut self.nic_out);
-        for (dst, roce) in self.nic_out.emit.drain(..) {
-            ctx.send(
-                self.nic
-                    .make_packet(ctx.node_id(), dst, &roce, self.data_prio),
-            );
-        }
+        self.nic.deliver(pkt, self.data_prio, ctx);
         self.drain_completions(ctx);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx) {
         self.stamp_now(ctx);
         if tag == TAG_NIC_TICK {
-            for (dst, roce) in self.nic.tick(ctx.now()) {
-                ctx.send(
-                    self.nic
-                        .make_packet(ctx.node_id(), dst, &roce, self.data_prio),
-                );
-            }
+            self.nic.tick_and_send(self.data_prio, ctx);
             ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
             return;
         }
@@ -716,8 +689,6 @@ impl Node for EngineNode {
 pub struct PoolNode {
     pub nic: SimNic,
     nic_tick: Duration,
-    /// NIC output scratch, reused across deliveries.
-    nic_out: NicOutput,
 }
 
 impl Default for PoolNode {
@@ -731,7 +702,6 @@ impl PoolNode {
         PoolNode {
             nic: SimNic::new(),
             nic_tick: Duration::from_micros(50),
-            nic_out: NicOutput::default(),
         }
     }
 
@@ -752,18 +722,11 @@ impl Node for PoolNode {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        self.nic_out.clear();
-        self.nic
-            .handle_packet_into(&pkt, ctx.now(), &mut self.nic_out);
-        for (dst, roce) in self.nic_out.emit.drain(..) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-        }
+        self.nic.deliver(pkt, 1, ctx);
     }
 
     fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx) {
-        for (dst, roce) in self.nic.tick(ctx.now()) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-        }
+        self.nic.tick_and_send(1, ctx);
         ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
     }
 }
@@ -775,8 +738,6 @@ impl Node for PoolNode {
 pub struct ComputeNicNode {
     pub nic: SimNic,
     nic_tick: Duration,
-    /// NIC output scratch, reused across deliveries.
-    nic_out: NicOutput,
 }
 
 impl Default for ComputeNicNode {
@@ -790,7 +751,6 @@ impl ComputeNicNode {
         ComputeNicNode {
             nic: SimNic::new(),
             nic_tick: Duration::from_micros(50),
-            nic_out: NicOutput::default(),
         }
     }
 
@@ -809,18 +769,11 @@ impl Node for ComputeNicNode {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        self.nic_out.clear();
-        self.nic
-            .handle_packet_into(&pkt, ctx.now(), &mut self.nic_out);
-        for (dst, roce) in self.nic_out.emit.drain(..) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-        }
+        self.nic.deliver(pkt, 1, ctx);
     }
 
     fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx) {
-        for (dst, roce) in self.nic.tick(ctx.now()) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-        }
+        self.nic.tick_and_send(1, ctx);
         ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
     }
 }

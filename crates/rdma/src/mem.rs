@@ -14,7 +14,6 @@
 //! A [`RegionCatalog`] maps remote keys (rkeys) to regions, playing the role
 //! of the NIC's memory translation and protection table.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -84,7 +83,8 @@ impl Region {
         self.inner.size == 0
     }
 
-    fn check(&self, offset: u64, len: usize) -> Result<(), MemError> {
+    /// Is `[offset, offset + len)` inside the region?
+    pub fn check(&self, offset: u64, len: usize) -> Result<(), MemError> {
         let end = offset.checked_add(len as u64);
         match end {
             Some(e) if e <= self.inner.size as u64 => Ok(()),
@@ -96,22 +96,34 @@ impl Region {
         }
     }
 
-    /// Read `buf.len()` bytes starting at byte `offset`. Loads are acquire,
-    /// so bulk data written before a release-published control word is fully
-    /// visible once the control word is observed.
+    /// Read `buf.len()` bytes starting at byte `offset`. Every word is read
+    /// with its own acquire load, so bulk data written before a
+    /// release-published control word is fully visible once the control
+    /// word is observed.
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<(), MemError> {
         self.check(offset, buf.len())?;
-        let mut off = offset as usize;
-        let mut i = 0;
-        while i < buf.len() {
-            let word_idx = off / 8;
-            let byte_in_word = off % 8;
-            let word = self.inner.words[word_idx].load(Ordering::Acquire);
-            let bytes = word.to_le_bytes();
-            let n = (8 - byte_in_word).min(buf.len() - i);
-            buf[i..i + n].copy_from_slice(&bytes[byte_in_word..byte_in_word + n]);
-            i += n;
-            off += n;
+        let off = offset as usize;
+        // Unaligned head, whole words, unaligned tail. The body walks one
+        // bounds-checked slice of words in step with `chunks_exact_mut`, so
+        // the loop carries no index arithmetic and no per-word check.
+        let (head, rest) = buf.split_at_mut((off.wrapping_neg() % 8).min(buf.len()));
+        let first = (off + head.len()) / 8;
+        let (body, tail) = rest.split_at_mut(rest.len() / 8 * 8);
+        let words = &self.inner.words[first..first + body.len() / 8];
+        if !head.is_empty() {
+            let bytes = self.inner.words[off / 8]
+                .load(Ordering::Acquire)
+                .to_le_bytes();
+            head.copy_from_slice(&bytes[off % 8..off % 8 + head.len()]);
+        }
+        for (chunk, word) in body.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&word.load(Ordering::Acquire).to_le_bytes());
+        }
+        if !tail.is_empty() {
+            let bytes = self.inner.words[first + words.len()]
+                .load(Ordering::Acquire)
+                .to_le_bytes();
+            tail.copy_from_slice(&bytes[..tail.len()]);
         }
         Ok(())
     }
@@ -124,46 +136,35 @@ impl Region {
     }
 
     /// Like [`Region::read_vec`], but reuses a caller-owned scratch vector
-    /// (cleared and resized in place): hot readers pay zero allocations
-    /// once the scratch has grown to the working length.
+    /// (resized in place): hot readers pay zero allocations once the
+    /// scratch has grown to the working length.
     pub fn read_into(&self, offset: u64, len: usize, out: &mut Vec<u8>) -> Result<(), MemError> {
-        out.clear();
+        // No `clear` first: every byte is overwritten below, so only growth
+        // needs filling.
         out.resize(len, 0);
         self.read(offset, out)
     }
 
-    /// Write `data` starting at byte `offset`. Whole words use release
-    /// stores (a later release-published control word therefore publishes
-    /// the data too); partial words use a CAS loop so concurrent writers to
-    /// *different* bytes of the same word never lose updates.
+    /// Write `data` starting at byte `offset`. Whole words use one release
+    /// store each (a later release-published control word therefore
+    /// publishes the data too); partial words use a CAS loop so concurrent
+    /// writers to *different* bytes of the same word never lose updates.
     pub fn write(&self, offset: u64, data: &[u8]) -> Result<(), MemError> {
         self.check(offset, data.len())?;
-        let mut off = offset as usize;
-        let mut i = 0;
-        while i < data.len() {
-            let word_idx = off / 8;
-            let byte_in_word = off % 8;
-            let n = (8 - byte_in_word).min(data.len() - i);
-            let slot = &self.inner.words[word_idx];
-            if n == 8 {
-                let word = u64::from_le_bytes(data[i..i + 8].try_into().unwrap());
-                slot.store(word, Ordering::Release);
-            } else {
-                let mut mask_bytes = [0u8; 8];
-                let mut val_bytes = [0u8; 8];
-                for k in 0..n {
-                    mask_bytes[byte_in_word + k] = 0xFF;
-                    val_bytes[byte_in_word + k] = data[i + k];
-                }
-                let mask = u64::from_le_bytes(mask_bytes);
-                let val = u64::from_le_bytes(val_bytes);
-                slot.fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
-                    Some((w & !mask) | val)
-                })
-                .expect("fetch_update closure never returns None");
-            }
-            i += n;
-            off += n;
+        let off = offset as usize;
+        let (head, rest) = data.split_at((off.wrapping_neg() % 8).min(data.len()));
+        let first = (off + head.len()) / 8;
+        let (body, tail) = rest.split_at(rest.len() / 8 * 8);
+        let words = &self.inner.words[first..first + body.len() / 8];
+        if !head.is_empty() {
+            merge_bytes(&self.inner.words[off / 8], off % 8, head);
+        }
+        for (chunk, word) in body.chunks_exact(8).zip(words) {
+            let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8) yields 8 bytes");
+            word.store(u64::from_le_bytes(bytes), Ordering::Release);
+        }
+        if !tail.is_empty() {
+            merge_bytes(&self.inner.words[first + words.len()], 0, tail);
         }
         Ok(())
     }
@@ -203,6 +204,21 @@ impl Region {
     }
 }
 
+/// Replace bytes `at..at + bytes.len()` of `word` (little-endian byte order,
+/// fewer than eight of them) and leave the others as concurrent writers set
+/// them.
+fn merge_bytes(word: &AtomicU64, at: usize, bytes: &[u8]) {
+    let mut mask = [0u8; 8];
+    let mut val = [0u8; 8];
+    mask[at..at + bytes.len()].fill(0xFF);
+    val[at..at + bytes.len()].copy_from_slice(bytes);
+    let (mask, val) = (u64::from_le_bytes(mask), u64::from_le_bytes(val));
+    word.fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
+        Some((w & !mask) | val)
+    })
+    .expect("fetch_update closure never returns None");
+}
+
 impl std::fmt::Debug for Region {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Region({} bytes)", self.inner.size)
@@ -210,41 +226,43 @@ impl std::fmt::Debug for Region {
 }
 
 /// The NIC-side translation table: rkey -> region.
-#[derive(Default)]
+///
+/// Rkeys are handed out sequentially from 1, so the table is a dense vector
+/// indexed by rkey. Slot 0 stays empty (an uninitialized rkey never
+/// matches) and a deregistered rkey leaves a hole that is never reused.
 pub struct RegionCatalog {
-    next_rkey: Rkey,
-    regions: HashMap<Rkey, Region>,
+    regions: Vec<Option<Region>>,
+}
+
+impl Default for RegionCatalog {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl RegionCatalog {
     pub fn new() -> RegionCatalog {
         RegionCatalog {
-            // Start above zero so an uninitialized rkey never matches.
-            next_rkey: 1,
-            regions: HashMap::new(),
+            regions: vec![None],
         }
     }
 
     /// Register a region, returning its rkey.
     pub fn register(&mut self, region: Region) -> Rkey {
-        let rkey = self.next_rkey;
-        self.next_rkey += 1;
-        self.regions.insert(rkey, region);
-        rkey
+        self.regions.push(Some(region));
+        (self.regions.len() - 1) as Rkey
     }
 
     /// Deregister; returns the region if it was present.
     pub fn deregister(&mut self, rkey: Rkey) -> Option<Region> {
-        self.regions.remove(&rkey)
+        self.regions.get_mut(rkey as usize)?.take()
     }
 
     pub fn get(&self, rkey: Rkey) -> Result<&Region, MemError> {
-        self.regions.get(&rkey).ok_or(MemError::BadRkey(rkey))
-    }
-
-    /// Execute a remote read: `len` bytes at `vaddr` of region `rkey`.
-    pub fn remote_read(&self, rkey: Rkey, vaddr: u64, len: usize) -> Result<Vec<u8>, MemError> {
-        self.get(rkey)?.read_vec(vaddr, len)
+        match self.regions.get(rkey as usize) {
+            Some(Some(region)) => Ok(region),
+            _ => Err(MemError::BadRkey(rkey)),
+        }
     }
 
     /// Execute a remote write into region `rkey` at `vaddr`.
@@ -344,12 +362,9 @@ mod tests {
         let r = Region::new(128);
         let k = cat.register(r.clone());
         cat.remote_write(k, 5, b"hello").unwrap();
-        assert_eq!(cat.remote_read(k, 5, 5).unwrap(), b"hello");
+        assert_eq!(cat.get(k).unwrap().read_vec(5, 5).unwrap(), b"hello");
         assert_eq!(r.read_vec(5, 5).unwrap(), b"hello");
-        assert!(matches!(
-            cat.remote_read(999, 0, 1),
-            Err(MemError::BadRkey(999))
-        ));
+        assert!(matches!(cat.get(999), Err(MemError::BadRkey(999))));
         cat.deregister(k);
         assert!(cat.get(k).is_err());
     }

@@ -23,9 +23,9 @@ use std::collections::VecDeque;
 use simnet::time::{Duration, Instant};
 
 use crate::buf::{BufArena, PoolBuf};
-use crate::mem::{MemError, RegionCatalog};
+use crate::mem::{MemError, Region, RegionCatalog};
 use crate::verbs::{Completion, CompletionStatus, WorkRequest, WrKind, WrOp};
-use crate::wire::{Aeth, Bth, Opcode, Reth, RocePacket, Syndrome};
+use crate::wire::{Aeth, Bth, Opcode, Reth, RocePacket, Syndrome, FRAME_HEADROOM};
 
 /// Queue pair number (24 bits on the wire).
 pub type QpNum = u32;
@@ -290,10 +290,6 @@ impl Qp {
         self.outstanding.len()
     }
 
-    fn segments(&self, len: u32) -> u32 {
-        ((len as usize).div_ceil(self.cfg.mtu) as u32).max(1)
-    }
-
     /// Post a work request; returns the packets to transmit.
     pub fn post(
         &mut self,
@@ -324,7 +320,7 @@ impl Qp {
         }
         let first_psn = self.next_psn;
         let before = out.len();
-        let (kind, npsn) = self.build_packets(&wr.op, first_psn, cat, out)?;
+        let (kind, npsn) = build_packets(&self.cfg, &self.arena, &wr.op, first_psn, cat, out)?;
         self.next_psn = wrap_add(self.next_psn, npsn);
         self.counters.posted += 1;
         self.counters.tx_packets += (out.len() - before) as u64;
@@ -337,169 +333,6 @@ impl Qp {
             read_received: 0,
         });
         Ok(())
-    }
-
-    /// Generate the wire packets for an operation starting at `first_psn`,
-    /// appending them to `out`. Error paths append nothing.
-    fn build_packets(
-        &self,
-        op: &WrOp,
-        first_psn: u32,
-        cat: &RegionCatalog,
-        out: &mut Vec<RocePacket>,
-    ) -> Result<(WrKind, u32), QpError> {
-        match op {
-            WrOp::Read {
-                remote_addr,
-                remote_rkey,
-                len,
-                ..
-            } => {
-                let npsn = self.segments(*len);
-                out.push(RocePacket::read_request(
-                    self.cfg.peer_qpn,
-                    first_psn,
-                    *remote_addr,
-                    *remote_rkey,
-                    *len,
-                ));
-                Ok((WrKind::Read, npsn))
-            }
-            WrOp::Write {
-                local_rkey,
-                local_addr,
-                remote_addr,
-                remote_rkey,
-                len,
-            } => {
-                let data = cat.remote_read(*local_rkey, *local_addr, *len as usize)?;
-                let n = self.segment_write(first_psn, *remote_addr, *remote_rkey, &data, out);
-                Ok((WrKind::Write, n))
-            }
-            WrOp::WriteInline {
-                remote_addr,
-                remote_rkey,
-                data,
-            } => {
-                let n = self.segment_write(first_psn, *remote_addr, *remote_rkey, data, out);
-                Ok((WrKind::Write, n))
-            }
-            WrOp::ReadSg {
-                segments,
-                remote_addr,
-                remote_rkey,
-                ..
-            } => {
-                // One wire READ for the whole contiguous remote range; the
-                // scatter happens on the requester as responses land.
-                let total: u32 = segments.iter().map(|(_, l)| *l).sum();
-                let npsn = self.segments(total);
-                out.push(RocePacket::read_request(
-                    self.cfg.peer_qpn,
-                    first_psn,
-                    *remote_addr,
-                    *remote_rkey,
-                    total,
-                ));
-                Ok((WrKind::Read, npsn))
-            }
-            WrOp::WriteSg {
-                remote_addr,
-                remote_rkey,
-                segments,
-            } => {
-                // Gather the segments into one contiguous wire transfer
-                // through a recycled buffer.
-                let mut data = self.arena.take();
-                for s in segments {
-                    data.extend_from_slice(s);
-                }
-                let n = self.segment_write(first_psn, *remote_addr, *remote_rkey, &data, out);
-                Ok((WrKind::Write, n))
-            }
-            WrOp::CompareSwap {
-                remote_addr,
-                remote_rkey,
-                compare,
-                swap,
-            } => {
-                out.push(RocePacket::comp_swap(
-                    self.cfg.peer_qpn,
-                    first_psn,
-                    *remote_addr,
-                    *remote_rkey,
-                    *compare,
-                    *swap,
-                ));
-                Ok((WrKind::Atomic, 1))
-            }
-            WrOp::Send { payload } => {
-                let n = self.segment_send(first_psn, payload, out);
-                Ok((WrKind::Send, n))
-            }
-        }
-    }
-
-    fn segment_write(
-        &self,
-        first_psn: u32,
-        vaddr: u64,
-        rkey: u32,
-        data: &[u8],
-        out: &mut Vec<RocePacket>,
-    ) -> u32 {
-        let n = self.segments(data.len() as u32) as usize;
-        for (i, chunk) in chunks_min_one(data, self.cfg.mtu).enumerate() {
-            let opcode = match (i, n) {
-                (_, 1) => Opcode::WriteOnly,
-                (0, _) => Opcode::WriteFirst,
-                (i, n) if i == n - 1 => Opcode::WriteLast,
-                _ => Opcode::WriteMiddle,
-            };
-            let mut bth = Bth::new(opcode, self.cfg.peer_qpn, wrap_add(first_psn, i as u32));
-            bth.ack_req = i == n - 1;
-            let reth = if opcode.has_reth() {
-                Some(Reth {
-                    vaddr,
-                    rkey,
-                    dma_len: data.len() as u32,
-                })
-            } else {
-                None
-            };
-            out.push(RocePacket {
-                bth,
-                reth,
-                aeth: None,
-                atomic: None,
-                atomic_ack: None,
-                payload: self.arena.take_copy(chunk),
-            });
-        }
-        n as u32
-    }
-
-    fn segment_send(&self, first_psn: u32, data: &[u8], out: &mut Vec<RocePacket>) -> u32 {
-        let n = self.segments(data.len() as u32) as usize;
-        for (i, chunk) in chunks_min_one(data, self.cfg.mtu).enumerate() {
-            let opcode = match (i, n) {
-                (_, 1) => Opcode::SendOnly,
-                (0, _) => Opcode::SendFirst,
-                (i, n) if i == n - 1 => Opcode::SendLast,
-                _ => Opcode::SendMiddle,
-            };
-            let mut bth = Bth::new(opcode, self.cfg.peer_qpn, wrap_add(first_psn, i as u32));
-            bth.ack_req = i == n - 1;
-            out.push(RocePacket {
-                bth,
-                reth: None,
-                aeth: None,
-                atomic: None,
-                atomic_ack: None,
-                payload: self.arena.take_copy(chunk),
-            });
-        }
-        n as u32
     }
 
     /// Feed an inbound packet. `cat` is this NIC's memory table (the
@@ -567,7 +400,7 @@ impl Qp {
             Syndrome::Nak(_) | Syndrome::RnrNak => {
                 self.counters.naks_rx += 1;
                 // Go-Back-N: replay everything outstanding.
-                out.emit.extend(self.go_back_n(cat, now));
+                self.go_back_n(cat, now, &mut out.emit);
             }
         }
     }
@@ -670,31 +503,34 @@ impl Qp {
 
     /// Requester timeout check; call periodically. Returns retransmissions.
     pub fn tick(&mut self, now: Instant, cat: &RegionCatalog) -> Vec<RocePacket> {
-        if self.outstanding.is_empty() {
-            return Vec::new();
-        }
-        if now.since(self.last_progress) >= self.cfg.retransmit_timeout {
-            self.go_back_n(cat, now)
-        } else {
-            Vec::new()
+        let mut out = Vec::new();
+        self.tick_into(now, cat, &mut out);
+        out
+    }
+
+    /// Like [`Qp::tick`], but appends the retransmissions onto `out`.
+    pub fn tick_into(&mut self, now: Instant, cat: &RegionCatalog, out: &mut Vec<RocePacket>) {
+        if !self.outstanding.is_empty()
+            && now.since(self.last_progress) >= self.cfg.retransmit_timeout
+        {
+            self.go_back_n(cat, now, out);
         }
     }
 
-    /// Replay every outstanding WQE from the front (Go-Back-N), resetting
-    /// in-progress read reassembly.
-    fn go_back_n(&mut self, cat: &RegionCatalog, now: Instant) -> Vec<RocePacket> {
+    /// Replay every outstanding WQE from the front (Go-Back-N) onto `out`,
+    /// resetting in-progress read reassembly.
+    fn go_back_n(&mut self, cat: &RegionCatalog, now: Instant, out: &mut Vec<RocePacket>) {
         self.counters.retransmit_rounds += 1;
         self.last_progress = now;
-        let mut out = Vec::new();
+        let before = out.len();
         for w in self.outstanding.iter_mut() {
             w.read_received = 0;
             // Regenerate; local memory may have been updated, but Cowbird's
             // ring discipline guarantees slots are stable until completed.
             // A failure here would have failed at post time already.
-            let _ = rebuild_packets(&self.cfg, &w.op, w.first_psn, cat, &mut out);
+            let _ = build_packets(&self.cfg, &self.arena, &w.op, w.first_psn, cat, out);
         }
-        self.counters.tx_packets += out.len() as u64;
-        out
+        self.counters.tx_packets += (out.len() - before) as u64;
     }
 
     // ---------------- responder side ----------------
@@ -762,33 +598,24 @@ impl Qp {
         match op {
             Opcode::ReadRequest => {
                 let Some(reth) = pkt.reth else { return };
-                match cat.remote_read(reth.rkey, reth.vaddr, reth.dma_len as usize) {
-                    Ok(data) => {
-                        let n = self.segments(reth.dma_len) as usize;
-                        self.expected_psn = wrap_add(psn, n as u32);
-                        self.msn = (self.msn + 1) & 0x00FF_FFFF;
-                        for (i, chunk) in chunks_min_one(&data, self.cfg.mtu).enumerate() {
-                            let opcode = match (i, n) {
-                                (_, 1) => Opcode::ReadResponseOnly,
-                                (0, _) => Opcode::ReadResponseFirst,
-                                (i, n) if i == n - 1 => Opcode::ReadResponseLast,
-                                _ => Opcode::ReadResponseMiddle,
-                            };
-                            let bth = Bth::new(opcode, self.cfg.peer_qpn, wrap_add(psn, i as u32));
-                            let aeth = if opcode.has_aeth() {
-                                Some(Aeth::ack(self.msn))
-                            } else {
-                                None
-                            };
-                            out.emit.push(RocePacket {
-                                bth,
-                                reth: None,
-                                aeth,
-                                atomic: None,
-                                atomic_ack: None,
-                                payload: self.arena.take_copy(chunk),
-                            });
-                        }
+                // Response segments are read straight from the region into
+                // the buffers that go on the wire.
+                let msn = (self.msn + 1) & 0x00FF_FFFF;
+                let msg = Message {
+                    family: &READ_RESPONSE,
+                    first_psn: psn,
+                    len: reth.dma_len as usize,
+                    reth: None,
+                    aeth: Some(Aeth::ack(msn)),
+                };
+                let built = cat.get(reth.rkey).and_then(|region| {
+                    let fill = read_from(region, reth.vaddr, msg.len)?;
+                    Ok(segment(&self.cfg, &self.arena, msg, fill, &mut out.emit))
+                });
+                match built {
+                    Ok(n) => {
+                        self.expected_psn = wrap_add(psn, n);
+                        self.msn = msn;
                     }
                     Err(_) => {
                         self.counters.naks_tx += 1;
@@ -964,18 +791,229 @@ fn scatter_read_payload(
     }
 }
 
-/// Stateless variant of `Qp::build_packets` used during Go-Back-N replay.
-fn rebuild_packets(
+/// Generate the wire packets for an operation starting at `first_psn`,
+/// appending them to `out`; returns the operation's kind and the PSNs it
+/// consumes. A function of the configuration and the arena alone, so posting
+/// and Go-Back-N replay build identical packets from the same buffers. Local
+/// memory is checked before the first segment is built, so error paths
+/// append nothing.
+fn build_packets(
     cfg: &QpConfig,
+    arena: &BufArena,
     op: &WrOp,
     first_psn: u32,
     cat: &RegionCatalog,
     out: &mut Vec<RocePacket>,
 ) -> Result<(WrKind, u32), QpError> {
-    // Reuse a throwaway Qp shell configured identically; build_packets only
-    // reads cfg (and its arena, whose buffers outlive the shell).
-    let shell = Qp::new(cfg.clone());
-    shell.build_packets(op, first_psn, cat, out)
+    let write = |remote_addr: u64, remote_rkey: u32, len: usize| Message {
+        family: &WRITE,
+        first_psn,
+        len,
+        reth: Some(Reth {
+            vaddr: remote_addr,
+            rkey: remote_rkey,
+            dma_len: len as u32,
+        }),
+        aeth: None,
+    };
+    let read = |remote_addr: u64, remote_rkey: u32, len: u32| {
+        RocePacket::read_request(cfg.peer_qpn, first_psn, remote_addr, remote_rkey, len)
+    };
+    Ok(match op {
+        WrOp::Read {
+            remote_addr,
+            remote_rkey,
+            len,
+            ..
+        } => {
+            out.push(read(*remote_addr, *remote_rkey, *len));
+            (WrKind::Read, segments(cfg, *len as usize))
+        }
+        WrOp::ReadSg {
+            segments: parts,
+            remote_addr,
+            remote_rkey,
+            ..
+        } => {
+            // One wire READ for the whole contiguous remote range; the
+            // scatter happens on the requester as responses land.
+            let total: u32 = parts.iter().map(|(_, l)| *l).sum();
+            out.push(read(*remote_addr, *remote_rkey, total));
+            (WrKind::Read, segments(cfg, total as usize))
+        }
+        WrOp::Write {
+            local_rkey,
+            local_addr,
+            remote_addr,
+            remote_rkey,
+            len,
+        } => {
+            // Segments are read straight from the local region into the
+            // buffers that go on the wire.
+            let fill = read_from(cat.get(*local_rkey)?, *local_addr, *len as usize)?;
+            let msg = write(*remote_addr, *remote_rkey, *len as usize);
+            (WrKind::Write, segment(cfg, arena, msg, fill, out))
+        }
+        WrOp::WriteInline {
+            remote_addr,
+            remote_rkey,
+            data,
+        } => {
+            let msg = write(*remote_addr, *remote_rkey, data.len());
+            (
+                WrKind::Write,
+                segment(cfg, arena, msg, copy_from(data), out),
+            )
+        }
+        WrOp::WriteSg {
+            remote_addr,
+            remote_rkey,
+            segments: parts,
+        } => {
+            // Gather the parts into one contiguous wire transfer: the fill
+            // walks the part list once, in step with the wire segments.
+            let len = parts.iter().map(|p| p.len()).sum();
+            let (mut part, mut at) = (0, 0);
+            let fill = |_, mut dst: &mut [u8]| {
+                while !dst.is_empty() {
+                    let src = &parts[part][at..];
+                    let n = src.len().min(dst.len());
+                    let (head, rest) = dst.split_at_mut(n);
+                    head.copy_from_slice(&src[..n]);
+                    dst = rest;
+                    at += n;
+                    if at == parts[part].len() {
+                        (part, at) = (part + 1, 0);
+                    }
+                }
+            };
+            let msg = write(*remote_addr, *remote_rkey, len);
+            (WrKind::Write, segment(cfg, arena, msg, fill, out))
+        }
+        WrOp::CompareSwap {
+            remote_addr,
+            remote_rkey,
+            compare,
+            swap,
+        } => {
+            out.push(RocePacket::comp_swap(
+                cfg.peer_qpn,
+                first_psn,
+                *remote_addr,
+                *remote_rkey,
+                *compare,
+                *swap,
+            ));
+            (WrKind::Atomic, 1)
+        }
+        WrOp::Send { payload } => {
+            let msg = Message {
+                family: &SEND,
+                first_psn,
+                len: payload.len(),
+                reth: None,
+                aeth: None,
+            };
+            (
+                WrKind::Send,
+                segment(cfg, arena, msg, copy_from(payload), out),
+            )
+        }
+    })
+}
+
+/// Packets (and PSNs) a `len`-byte message occupies at the path MTU; a
+/// zero-length message still takes one.
+fn segments(cfg: &QpConfig, len: usize) -> u32 {
+    (len.div_ceil(cfg.mtu) as u32).max(1)
+}
+
+/// The opcodes of a segmented message: Only, First, Middle, Last.
+type Family = [Opcode; 4];
+const WRITE: Family = [
+    Opcode::WriteOnly,
+    Opcode::WriteFirst,
+    Opcode::WriteMiddle,
+    Opcode::WriteLast,
+];
+const SEND: Family = [
+    Opcode::SendOnly,
+    Opcode::SendFirst,
+    Opcode::SendMiddle,
+    Opcode::SendLast,
+];
+const READ_RESPONSE: Family = [
+    Opcode::ReadResponseOnly,
+    Opcode::ReadResponseFirst,
+    Opcode::ReadResponseMiddle,
+    Opcode::ReadResponseLast,
+];
+
+/// A message to cut into MTU segments. `reth` and `aeth` ride on the
+/// segments whose opcode carries one.
+struct Message {
+    family: &'static Family,
+    first_psn: u32,
+    len: usize,
+    reth: Option<Reth>,
+    aeth: Option<Aeth>,
+}
+
+/// A [`segment`] source that reads `region` from `base` on. The whole range
+/// is checked here, before the first segment is built, so a bad range
+/// leaves nothing half-sent and the fill itself cannot fail.
+fn read_from(
+    region: &Region,
+    base: u64,
+    len: usize,
+) -> Result<impl FnMut(usize, &mut [u8]) + '_, MemError> {
+    region.check(base, len)?;
+    Ok(move |off: usize, dst: &mut [u8]| {
+        let read = region.read(base + off as u64, dst);
+        read.expect("range checked above");
+    })
+}
+
+/// A [`segment`] source that copies from `data`.
+fn copy_from(data: &[u8]) -> impl FnMut(usize, &mut [u8]) + '_ {
+    move |off, dst| dst.copy_from_slice(&data[off..off + dst.len()])
+}
+
+/// Cut `msg` into MTU segments appended to `out`; returns how many. Each
+/// payload is produced by `fill(offset, dst)` directly into an arena buffer
+/// with frame headroom, so the source is read once and the segment never
+/// moves again before it reaches the wire.
+fn segment(
+    cfg: &QpConfig,
+    arena: &BufArena,
+    msg: Message,
+    mut fill: impl FnMut(usize, &mut [u8]),
+    out: &mut Vec<RocePacket>,
+) -> u32 {
+    let n = segments(cfg, msg.len);
+    for i in 0..n {
+        let opcode = msg.family[match i {
+            _ if n == 1 => 0,
+            0 => 1,
+            i if i == n - 1 => 3,
+            _ => 2,
+        }];
+        let off = i as usize * cfg.mtu;
+        let mut payload = arena.take_sized(FRAME_HEADROOM, cfg.mtu.min(msg.len - off));
+        fill(off, &mut payload);
+        let mut bth = Bth::new(opcode, cfg.peer_qpn, wrap_add(msg.first_psn, i));
+        // The last segment of a request asks for the ACK that completes it.
+        bth.ack_req = i == n - 1 && !opcode.is_read_response();
+        out.push(RocePacket {
+            bth,
+            reth: msg.reth.filter(|_| opcode.has_reth()),
+            aeth: msg.aeth.filter(|_| opcode.has_aeth()),
+            atomic: None,
+            atomic_ack: None,
+            payload,
+        });
+    }
+    n
 }
 
 #[inline]
@@ -987,17 +1025,6 @@ fn psn_eq(a: u32, b: u32) -> bool {
 #[inline]
 fn psn_lt(a: u32, b: u32) -> bool {
     !psn_eq(a, b) && psn_le(a, b)
-}
-
-/// Like `chunks` but yields one empty chunk for empty input (zero-length
-/// operations still emit one packet).
-fn chunks_min_one(data: &[u8], mtu: usize) -> impl Iterator<Item = &[u8]> {
-    let n = data.len().div_ceil(mtu).max(1);
-    (0..n).map(move |i| {
-        let lo = i * mtu;
-        let hi = ((i + 1) * mtu).min(data.len());
-        &data[lo..hi]
-    })
 }
 
 #[cfg(test)]
@@ -1383,11 +1410,19 @@ mod tests {
 
     #[test]
     fn zero_length_operations_emit_one_packet() {
-        let (a, _a_cat, _b, _b_cat) = pair(1024);
-        let mut pkts = Vec::new();
-        assert_eq!(a.segment_write(0, 0, 1, &[], &mut pkts), 1);
+        let (mut a, a_cat, _b, _b_cat) = pair(1024);
+        let wr = WorkRequest {
+            wr_id: 0,
+            op: WrOp::WriteInline {
+                remote_addr: 0,
+                remote_rkey: 1,
+                data: PoolBuf::empty(),
+            },
+        };
+        let pkts = a.post(wr, &a_cat, Instant::ZERO).unwrap();
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].bth.opcode, Opcode::WriteOnly);
+        assert!(pkts[0].payload.is_empty());
     }
 
     #[test]
@@ -1630,6 +1665,84 @@ mod tests {
                 compare: 3,
             }
         );
+    }
+
+    #[test]
+    fn out_of_range_memory_is_refused_before_any_segment_is_built() {
+        let (mut a, mut a_cat, mut b, mut b_cat) = pair(1024);
+        let lkey = a_cat.register(Region::new(4096));
+        let rkey = b_cat.register(Region::new(4096));
+        // A local range whose first segment is in bounds and whose last is
+        // not: the post fails and leaves nothing behind.
+        let mut pkts = Vec::new();
+        let write = WorkRequest {
+            wr_id: 1,
+            op: WrOp::Write {
+                local_rkey: lkey,
+                local_addr: 2048,
+                remote_addr: 0,
+                remote_rkey: rkey,
+                len: 4096,
+            },
+        };
+        let res = a.post_into(write, &a_cat, Instant::ZERO, &mut pkts);
+        assert!(matches!(
+            res,
+            Err(QpError::Mem(MemError::OutOfBounds { .. }))
+        ));
+        assert!(pkts.is_empty());
+        assert_eq!((a.outstanding(), a.next_psn()), (0, 0));
+        // The same on the responder: a read request running off the end of
+        // the region is NAKed whole, and consumes no PSN.
+        let req = RocePacket::read_request(2, 0, 2048, rkey, 4096);
+        let out = b.handle(&req, &b_cat, Instant::ZERO);
+        assert_eq!(out.emit.len(), 1);
+        assert!(matches!(
+            out.emit[0].aeth.unwrap().syndrome,
+            Syndrome::Nak(0)
+        ));
+        assert_eq!(b.expected_psn(), 0);
+    }
+
+    #[test]
+    fn go_back_n_rounds_recycle_through_the_live_arena() {
+        // Every retransmit round builds its segments from the QP's own
+        // arena, and dropping them (here: all lost) returns them to it, so
+        // however many rounds the loss forces the arena stays warm.
+        let (mut a, mut a_cat, _b, _b_cat) = pair(1024);
+        let local = Region::new(8192);
+        let lkey = a_cat.register(local);
+        for wr_id in 0..2 {
+            let lost = a.post(
+                WorkRequest {
+                    wr_id,
+                    op: WrOp::Write {
+                        local_rkey: lkey,
+                        local_addr: 0,
+                        remote_addr: 0,
+                        remote_rkey: 1,
+                        len: 4096,
+                    },
+                },
+                &a_cat,
+                Instant::ZERO,
+            );
+            drop(lost);
+        }
+        let mut replay = Vec::new();
+        for round in 1..=200u64 {
+            a.tick_into(Instant(round * 200_000), &a_cat, &mut replay);
+            assert_eq!(replay.len(), 8, "two 4 KiB writes at MTU 1024");
+            replay.clear();
+        }
+        assert_eq!(a.counters.retransmit_rounds, 200);
+        let stats = a.payload_arena().stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            8 * 201,
+            "every take is the live arena's"
+        );
+        assert!(stats.hit_rate() >= 0.99, "{stats:?}");
     }
 
     #[test]

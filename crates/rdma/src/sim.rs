@@ -12,7 +12,7 @@
 use simnet::fasthash::FastHashMap;
 
 use simnet::link::CORRUPT_FLAG;
-use simnet::sim::{NodeId, Packet};
+use simnet::sim::{Ctx, NodeId, Packet};
 use simnet::time::Instant;
 use telemetry::profile::{Phase, Profiler};
 use telemetry::{Component, EventKind, Recorder};
@@ -21,7 +21,7 @@ use crate::buf::{BufArena, PoolBuf};
 use crate::mem::{Region, RegionCatalog, Rkey};
 use crate::qp::{Qp, QpConfig, QpError, QpNum, QpOutput};
 use crate::verbs::{Completion, CompletionQueue, WorkRequest};
-use crate::wire::{RocePacket, WireError};
+use crate::wire::RocePacket;
 
 /// Result of feeding one inbound packet to the NIC.
 #[derive(Default, Debug)]
@@ -74,8 +74,8 @@ pub const DROP_REASON_CORRUPT: u64 = 1;
 /// `PacketDropped` telemetry reason: no QP with the packet's destination qpn.
 pub const DROP_REASON_UNROUTABLE: u64 = 2;
 
-/// Idle buffers a NIC keeps pooled (inbound parse copies + outbound
-/// encodes in flight at once; generously above any driver's working set).
+/// Idle buffers a NIC keeps pooled (header-only frames and by-reference
+/// copies in flight at once; generously above any driver's working set).
 const NIC_ARENA_DEPTH: usize = 128;
 
 /// A software RNIC for simulation.
@@ -96,12 +96,17 @@ pub struct SimNic {
     /// Cycle-attribution sink for the verb paths (disabled by default; one
     /// branch per post/poll scope).
     prof: Profiler,
-    /// Recycled buffers for everything this NIC copies: parsed inbound
-    /// payloads and encoded outbound frames.
+    /// Recycled buffers for the frames this NIC builds itself: header-only
+    /// packets (payload frames travel in the buffer their payload was read
+    /// into) and the copies the by-reference entry points make.
     arena: BufArena,
-    /// Per-packet QP output scratch, reused across [`SimNic::handle_packet`]
-    /// calls so the steady state allocates nothing.
+    /// Per-packet QP output scratch, reused across deliveries so the steady
+    /// state allocates nothing.
     qp_scratch: QpOutput,
+    /// Output scratch of [`SimNic::deliver`], likewise reused.
+    out_scratch: NicOutput,
+    /// Packet-build scratch for posts and retransmission sweeps.
+    tx_scratch: Vec<RocePacket>,
 }
 
 impl Default for SimNic {
@@ -123,6 +128,8 @@ impl SimNic {
             prof: Profiler::disabled(),
             arena: BufArena::new(NIC_ARENA_DEPTH),
             qp_scratch: QpOutput::default(),
+            out_scratch: NicOutput::default(),
+            tx_scratch: Vec::new(),
         }
     }
 
@@ -257,12 +264,11 @@ impl SimNic {
         let _scope = self.prof.scope(Phase::PostWqe);
         let peer = *self.peer_node.get(&qpn).expect("unknown qpn");
         let qp = self.qps.get_mut(&qpn).expect("unknown qpn");
-        let mut out = Vec::new();
+        let mut pkts = Vec::new();
         for wr in wrs {
-            let pkts = qp.post(wr, &self.catalog, now)?;
-            out.extend(pkts.into_iter().map(|p| (peer, p)));
+            qp.post_into(wr, &self.catalog, now, &mut pkts)?;
         }
-        Ok(out)
+        Ok(pkts.into_iter().map(|p| (peer, p)).collect())
     }
 
     /// Host poll (charges one poll call in the CQ accounting).
@@ -279,6 +285,59 @@ impl SimNic {
         self.cq.poll_into(max, out)
     }
 
+    /// Node entry point: receive `pkt`, execute it against this NIC's QPs
+    /// and memory, and transmit every packet that comes back at `prio`.
+    /// The frame is parsed in place and response frames are built in place,
+    /// so a payload byte is touched once on the way in (frame to region)
+    /// and once on the way out (region to frame). Two-sided receive
+    /// payloads are not surfaced here; a driver that wants them uses
+    /// [`SimNic::handle_packet_into`].
+    pub fn deliver(&mut self, pkt: Packet, prio: u8, ctx: &mut Ctx) {
+        let mut out = std::mem::take(&mut self.out_scratch);
+        self.receive(pkt, ctx.now(), &mut out);
+        for (dst, roce) in out.emit.drain(..) {
+            self.send(dst, roce, prio, ctx);
+        }
+        out.receives.clear();
+        self.out_scratch = out;
+    }
+
+    /// Node entry point: post `wr` on `qpn` and transmit its packets at
+    /// `prio`, through reused scratch — no per-WR allocation in steady
+    /// state.
+    pub fn post_and_send(
+        &mut self,
+        qpn: QpNum,
+        wr: WorkRequest,
+        prio: u8,
+        ctx: &mut Ctx,
+    ) -> Result<(), QpError> {
+        let mut pkts = std::mem::take(&mut self.tx_scratch);
+        let posted = self.post_into(qpn, wr, ctx.now(), &mut pkts);
+        if let Ok(dst) = posted {
+            for roce in pkts.drain(..) {
+                self.send(dst, roce, prio, ctx);
+            }
+        }
+        self.tx_scratch = pkts;
+        posted.map(drop)
+    }
+
+    /// Node entry point: the periodic retransmission sweep across all QPs,
+    /// replays transmitted at `prio`.
+    pub fn tick_and_send(&mut self, prio: u8, ctx: &mut Ctx) {
+        for (dst, roce) in self.tick(ctx.now()) {
+            self.send(dst, roce, prio, ctx);
+        }
+    }
+
+    /// Transmit `roce`, its payload buffer becoming the frame.
+    fn send(&self, dst: NodeId, roce: RocePacket, prio: u8, ctx: &mut Ctx) {
+        let wire_size = roce.wire_size();
+        let frame = roce.into_frame(&self.arena);
+        ctx.send(Packet::new(ctx.node_id(), dst, wire_size, frame).with_prio(prio));
+    }
+
     /// Feed an inbound simnet packet (encoded RoCE payload).
     pub fn handle_packet(&mut self, pkt: &Packet, now: Instant) -> NicOutput {
         let mut out = NicOutput::default();
@@ -289,23 +348,24 @@ impl SimNic {
     /// Like [`SimNic::handle_packet`], but appends into a caller-owned
     /// scratch `NicOutput` ([`NicOutput::clear`] between deliveries): the
     /// driver's per-packet output vectors are allocated once, not per call.
+    /// The by-reference twin of [`SimNic::deliver`]: it copies the frame
+    /// into an arena buffer to own it.
     pub fn handle_packet_into(&mut self, pkt: &Packet, now: Instant, out: &mut NicOutput) {
+        let owned = Packet {
+            payload: self.arena.take_copy(&pkt.payload),
+            ..*pkt
+        };
+        self.receive(owned, now, out);
+    }
+
+    fn receive(&mut self, pkt: Packet, now: Instant, out: &mut NicOutput) {
         self.stats.rx_packets += 1;
-        if self.check_integrity && pkt.meta & CORRUPT_FLAG != 0 {
-            // iCRC failure: drop; Go-Back-N recovers.
-            self.stats.rx_dropped_corrupt += 1;
-            self.rec.record(
-                Component::Nic,
-                EventKind::PacketDropped,
-                0,
-                DROP_REASON_CORRUPT,
-                0,
-            );
-            return;
-        }
-        match RocePacket::parse_pooled(&pkt.payload, &self.arena) {
-            Ok(roce) => self.handle_roce_into(roce, now, out),
-            Err(WireError::Truncated) | Err(WireError::UnknownOpcode(_)) => {
+        // iCRC failure (drop; Go-Back-N recovers) or a frame that does not
+        // parse: both count as corrupt.
+        let corrupt = self.check_integrity && pkt.meta & CORRUPT_FLAG != 0;
+        match RocePacket::parse_frame(pkt.payload) {
+            Ok(roce) if !corrupt => self.handle_roce_into(roce, now, out),
+            _ => {
                 self.stats.rx_dropped_corrupt += 1;
                 self.rec.record(
                     Component::Nic,
@@ -352,40 +412,35 @@ impl SimNic {
     }
 
     /// Retransmission sweep across all QPs; call on a periodic timer.
+    /// Allocates only when something is actually replayed.
     pub fn tick(&mut self, now: Instant) -> Vec<(NodeId, RocePacket)> {
         let mut out = Vec::new();
         for (qpn, qp) in self.qps.iter_mut() {
             let peer = self.peer_node[qpn];
-            for p in qp.tick(now, &self.catalog) {
-                out.push((peer, p));
-            }
+            qp.tick_into(now, &self.catalog, &mut self.tx_scratch);
+            out.extend(self.tx_scratch.drain(..).map(|p| (peer, p)));
         }
         out
     }
 
     /// Encode `roce` into a simnet packet whose payload buffer is borrowed
-    /// from this NIC's arena: the zero-alloc twin of [`to_sim_packet`]. The
-    /// buffer recycles when the simulated delivery drops it.
+    /// from this NIC's arena. The buffer recycles when the simulated
+    /// delivery drops it. By-reference, so the payload is copied into the
+    /// frame; [`SimNic::deliver`] and friends move it instead.
     pub fn make_packet(&self, src: NodeId, dst: NodeId, roce: &RocePacket, prio: u8) -> Packet {
-        let mut payload = self.arena.take();
-        roce.encode_into(payload.vec_mut());
-        Packet::new(src, dst, roce.wire_size(), payload).with_prio(prio)
+        Packet::new(src, dst, roce.wire_size(), roce.to_frame(&self.arena)).with_prio(prio)
     }
-}
-
-/// Convert a RoCE packet into a simnet packet from `src` to `dst`.
-///
-/// Allocates a fresh payload; hot paths that own a [`SimNic`] should prefer
-/// [`SimNic::make_packet`], which recycles through the NIC arena.
-pub fn to_sim_packet(src: NodeId, dst: NodeId, roce: &RocePacket, prio: u8) -> Packet {
-    let payload = roce.encode();
-    Packet::new(src, dst, roce.wire_size(), payload).with_prio(prio)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verbs::WrOp;
+
+    /// Convert a RoCE packet into a simnet packet from `src` to `dst`.
+    fn to_sim_packet(src: NodeId, dst: NodeId, roce: &RocePacket, prio: u8) -> Packet {
+        Packet::new(src, dst, roce.wire_size(), roce.encode()).with_prio(prio)
+    }
 
     /// Drive two SimNics against each other with a lossless in-test "wire".
     fn pump(

@@ -18,19 +18,24 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// The free-list and its counters, under one lock: a take and a return are
+/// two lock round trips and nothing else.
+#[derive(Debug, Default)]
+struct FreeList {
+    bufs: Vec<Vec<u8>>,
+    stats: ArenaStats,
+}
 
 #[derive(Debug, Default)]
 struct ArenaInner {
-    free: Mutex<Vec<Vec<u8>>>,
+    free: Mutex<FreeList>,
     /// Free-list length cap; buffers returned beyond it are dropped.
     /// Atomic so a shared arena can be re-capped while buffers are in
     /// flight (a polling-group shard grows its arena with channel fan-in).
     max_pooled: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    recycled: AtomicU64,
 }
 
 /// Counters exposed by [`BufArena::stats`].
@@ -71,9 +76,11 @@ impl BufArena {
     pub fn new(max_pooled: usize) -> BufArena {
         BufArena {
             inner: Arc::new(ArenaInner {
-                free: Mutex::new(Vec::with_capacity(max_pooled)),
+                free: Mutex::new(FreeList {
+                    bufs: Vec::with_capacity(max_pooled),
+                    stats: ArenaStats::default(),
+                }),
                 max_pooled: AtomicUsize::new(max_pooled),
-                ..ArenaInner::default()
             }),
         }
     }
@@ -96,49 +103,72 @@ impl BufArena {
     /// recycled capacity reallocates once and the larger capacity then
     /// sticks for every later reuse.
     pub fn take(&self) -> PoolBuf {
-        let popped = self.inner.free.lock().unwrap().pop();
-        let data = match popped {
-            Some(mut v) => {
-                v.clear();
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                v
-            }
-            None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
+        self.take_sized(0, 0)
+    }
+
+    /// Borrow a buffer of `len` bytes with `headroom` spare bytes in front
+    /// of them (see [`PoolBuf::prepend`]). The `len` bytes hold whatever the
+    /// recycled buffer last held — the caller overwrites all of them — so a
+    /// warmed-up take touches no payload byte at all.
+    pub fn take_sized(&self, headroom: usize, len: usize) -> PoolBuf {
+        let mut data = {
+            let mut free = self.inner.free.lock().expect("arena lock poisoned");
+            match free.bufs.pop() {
+                Some(v) => {
+                    free.stats.hits += 1;
+                    v
+                }
+                None => {
+                    free.stats.misses += 1;
+                    Vec::new()
+                }
             }
         };
+        let end = headroom + len;
+        if data.len() < end {
+            data.resize(end, 0);
+        }
         PoolBuf {
             data,
+            start: headroom,
+            end,
             arena: Some(Arc::clone(&self.inner)),
         }
     }
 
     /// Borrow a buffer pre-filled with a copy of `src`.
     pub fn take_copy(&self, src: &[u8]) -> PoolBuf {
-        let mut b = self.take();
-        b.extend_from_slice(src);
+        let mut b = self.take_sized(0, src.len());
+        b.copy_from_slice(src);
         b
     }
 
     /// Buffers currently idle on the free-list.
     pub fn pooled(&self) -> usize {
-        self.inner.free.lock().unwrap().len()
+        self.inner
+            .free
+            .lock()
+            .expect("arena lock poisoned")
+            .bufs
+            .len()
     }
 
     /// Hit/miss/recycle counters since construction.
     pub fn stats(&self) -> ArenaStats {
-        ArenaStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            recycled: self.inner.recycled.load(Ordering::Relaxed),
-        }
+        self.inner.free.lock().expect("arena lock poisoned").stats
     }
 }
 
 /// A byte buffer borrowed from a [`BufArena`] (or a plain owned buffer when
 /// constructed via [`From<Vec<u8>>`] — unpooled buffers behave like the
 /// `Vec<u8>` payloads they replaced and are simply freed on drop).
+///
+/// The buffer is a window `start..end` onto its backing bytes. The bytes in
+/// front of the window are *headroom*: [`PoolBuf::prepend`] grows the window
+/// backwards over them, so a protocol header is written in front of a
+/// payload that is already in place, and [`PoolBuf::advance`] shrinks it
+/// from the front, so a parsed frame's payload is a view of the frame. The
+/// backing bytes keep their length across recycling; only the window moves.
 ///
 /// Dropping a pooled buffer returns it to its arena, capacity intact. That
 /// drop happens wherever the payload's journey ends — for an inline write,
@@ -147,7 +177,10 @@ impl BufArena {
 /// completion" falls out of ownership rather than a callback.
 #[derive(Default)]
 pub struct PoolBuf {
+    /// Invariant: `start <= end <= data.len()`.
     data: Vec<u8>,
+    start: usize,
+    end: usize,
     arena: Option<Arc<ArenaInner>>,
 }
 
@@ -156,32 +189,55 @@ impl PoolBuf {
     pub const fn empty() -> PoolBuf {
         PoolBuf {
             data: Vec::new(),
+            start: 0,
+            end: 0,
             arena: None,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.end - self.start
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.start == self.end
     }
 
     /// Append bytes, growing the (sticky) capacity if needed.
     pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
+        let end = self.end + src.len();
+        if self.data.len() < end {
+            self.data.resize(end, 0);
+        }
+        self.data[self.end..end].copy_from_slice(src);
+        self.end = end;
     }
 
     pub fn clear(&mut self) {
-        self.data.clear();
+        self.end = self.start;
     }
 
-    /// Mutable access to the backing `Vec`, for encoders that append through
-    /// a `&mut Vec<u8>` (wire-header `encode` and friends). The buffer stays
-    /// pooled; whatever capacity the encoder grows is what recycles.
-    pub fn vec_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.data
+    /// Spare bytes in front of the contents.
+    pub fn headroom(&self) -> usize {
+        self.start
+    }
+
+    /// Grow the contents backwards by `n` bytes of headroom and return them
+    /// for the caller to fill. Panics if `n` exceeds [`PoolBuf::headroom`].
+    pub fn prepend(&mut self, n: usize) -> &mut [u8] {
+        let start = self
+            .start
+            .checked_sub(n)
+            .expect("prepend beyond the buffer's headroom");
+        self.start = start;
+        &mut self.data[start..start + n]
+    }
+
+    /// Drop the first `n` bytes of the contents; they become headroom.
+    /// Panics if `n` exceeds the length.
+    pub fn advance(&mut self, n: usize) {
+        assert!(n <= self.len(), "advance beyond the buffer's contents");
+        self.start += n;
     }
 
     /// True when this buffer will return to an arena on drop (tests).
@@ -193,11 +249,13 @@ impl PoolBuf {
 impl Drop for PoolBuf {
     fn drop(&mut self) {
         if let Some(arena) = self.arena.take() {
-            let mut free = arena.free.lock().unwrap();
-            if free.len() < arena.max_pooled.load(Ordering::Relaxed) {
-                free.push(std::mem::take(&mut self.data));
-                drop(free);
-                arena.recycled.fetch_add(1, Ordering::Relaxed);
+            // A poisoned lock means a holder panicked; the buffer is then
+            // simply freed.
+            if let Ok(mut free) = arena.free.lock() {
+                if free.bufs.len() < arena.max_pooled.load(Ordering::Relaxed) {
+                    free.bufs.push(std::mem::take(&mut self.data));
+                    free.stats.recycled += 1;
+                }
             }
         }
     }
@@ -206,19 +264,19 @@ impl Drop for PoolBuf {
 impl Deref for PoolBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        &self.data[self.start..self.end]
     }
 }
 
 impl DerefMut for PoolBuf {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+        &mut self.data[self.start..self.end]
     }
 }
 
 impl AsRef<[u8]> for PoolBuf {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
@@ -227,17 +285,14 @@ impl AsRef<[u8]> for PoolBuf {
 /// and must not inflate the recycle counters.
 impl Clone for PoolBuf {
     fn clone(&self) -> PoolBuf {
-        PoolBuf {
-            data: self.data.clone(),
-            arena: None,
-        }
+        self[..].into()
     }
 }
 
 /// Byte equality; arena provenance is irrelevant to protocol semantics.
 impl PartialEq for PoolBuf {
     fn eq(&self, other: &PoolBuf) -> bool {
-        self.data == other.data
+        self[..] == other[..]
     }
 }
 
@@ -245,46 +300,48 @@ impl Eq for PoolBuf {}
 
 impl PartialEq<Vec<u8>> for PoolBuf {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        &self.data == other
+        self[..] == other[..]
     }
 }
 
 impl PartialEq<PoolBuf> for Vec<u8> {
     fn eq(&self, other: &PoolBuf) -> bool {
-        self == &other.data
+        self[..] == other[..]
     }
 }
 
 impl PartialEq<[u8]> for PoolBuf {
     fn eq(&self, other: &[u8]) -> bool {
-        self.data == other
+        &self[..] == other
     }
 }
 
 impl PartialEq<&[u8]> for PoolBuf {
     fn eq(&self, other: &&[u8]) -> bool {
-        self.data == *other
+        &self[..] == *other
     }
 }
 
 impl fmt::Debug for PoolBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.data.fmt(f)
+        self[..].fmt(f)
     }
 }
 
 impl From<Vec<u8>> for PoolBuf {
     fn from(data: Vec<u8>) -> PoolBuf {
-        PoolBuf { data, arena: None }
+        PoolBuf {
+            start: 0,
+            end: data.len(),
+            data,
+            arena: None,
+        }
     }
 }
 
 impl From<&[u8]> for PoolBuf {
     fn from(src: &[u8]) -> PoolBuf {
-        PoolBuf {
-            data: src.to_vec(),
-            arena: None,
-        }
+        src.to_vec().into()
     }
 }
 
@@ -315,6 +372,34 @@ mod tests {
         drop(b);
         let b2 = arena.take();
         assert!(b2.data.capacity() >= 4096);
+    }
+
+    #[test]
+    fn headers_go_in_front_of_a_payload_already_in_place() {
+        let arena = BufArena::new(8);
+        let mut b = arena.take_sized(4, 3);
+        assert_eq!((b.headroom(), b.len()), (4, 3));
+        b.copy_from_slice(&[7, 8, 9]);
+        b.prepend(2).copy_from_slice(&[1, 2]);
+        assert_eq!(b, vec![1u8, 2, 7, 8, 9]);
+        assert_eq!(b.headroom(), 2);
+        // Consuming the header leaves the payload as a view of the frame.
+        b.advance(2);
+        assert_eq!(b, vec![7u8, 8, 9]);
+        b.extend_from_slice(&[10]);
+        assert_eq!(b.clone(), vec![7u8, 8, 9, 10]);
+        // A recycled buffer comes back as an empty window at the front,
+        // whatever window it left with.
+        drop(b);
+        let again = arena.take();
+        assert_eq!((again.headroom(), again.len()), (0, 0));
+        assert_eq!(arena.stats().hits, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "headroom")]
+    fn prepend_beyond_headroom_panics() {
+        BufArena::new(1).take_sized(2, 0).prepend(3);
     }
 
     #[test]

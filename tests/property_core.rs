@@ -67,7 +67,9 @@ proptest! {
 
     #[test]
     fn parsing_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = RocePacket::parse(&bytes);
+        // The in-place parser of an owned frame reaches the same verdict.
+        let verdict = RocePacket::parse(&bytes);
+        prop_assert_eq!(RocePacket::parse_frame(bytes.into()), verdict);
     }
 
     #[test]
