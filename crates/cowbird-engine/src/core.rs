@@ -302,6 +302,31 @@ pub enum FabricOp {
     },
 }
 
+/// A completion's payload as the driver hands it over: borrowed bytes, or
+/// an owned read's landed buffer, which the core keeps instead of copying.
+enum Payload<'a> {
+    Borrowed(&'a [u8]),
+    Owned(PoolBuf),
+}
+
+impl Payload<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Payload::Borrowed(b) => b,
+            Payload::Owned(b) => b,
+        }
+    }
+
+    /// The payload in a buffer of its own: the landed one, or a copy
+    /// borrowed from `arena`.
+    fn into_buf(self, arena: &BufArena) -> PoolBuf {
+        match self {
+            Payload::Borrowed(b) => arena.take_copy(b),
+            Payload::Owned(b) => b,
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 enum TagKind {
     Probe,
@@ -949,7 +974,19 @@ impl EngineCore {
     /// nothing staged before the fence may reach the fabric, and the core
     /// cannot distinguish its own staging from a caller's carry-over).
     pub fn on_data_into(&mut self, tag: u64, data: &[u8], out: &mut Vec<FabricOp>) {
-        debug_assert!(out.is_empty(), "on_data_into scratch must arrive empty");
+        self.dispatch(tag, Payload::Borrowed(data), out);
+    }
+
+    /// Like [`EngineCore::on_data_into`], but takes the landed buffer of an
+    /// owned read ([`rdma::verbs::WrOp::ReadOwned`]) itself: a write payload
+    /// goes on to the pool in it, and the first read response of a batch
+    /// becomes the batch buffer, so neither is copied.
+    pub fn on_landed_into(&mut self, tag: u64, data: PoolBuf, out: &mut Vec<FabricOp>) {
+        self.dispatch(tag, Payload::Owned(data), out);
+    }
+
+    fn dispatch(&mut self, tag: u64, data: Payload<'_>, out: &mut Vec<FabricOp>) {
+        debug_assert!(out.is_empty(), "the op scratch must arrive empty");
         let Some(kind) = self.tags.remove(&tag) else {
             return;
         };
@@ -957,8 +994,8 @@ impl EngineCore {
             return;
         }
         match kind {
-            TagKind::Probe => self.handle_probe(data, out),
-            TagKind::Meta { start, count } => self.handle_meta(start, count, data, out),
+            TagKind::Probe => self.handle_probe(data.bytes(), out),
+            TagKind::Meta { start, count } => self.handle_meta(start, count, data.bytes(), out),
             TagKind::WritePayload {
                 seq,
                 rkey,
@@ -970,7 +1007,7 @@ impl EngineCore {
                 self.handle_read_data(seq, resp_addr, data, out)
             }
             TagKind::RedCommit { reads } => self.handle_red_commit(reads, out),
-            TagKind::ChaseHop => self.handle_chase_hop(data, out),
+            TagKind::ChaseHop => self.handle_chase_hop(data.bytes(), out),
         }
         if self.fenced {
             // The op we just handled observed the fence: nothing staged so
@@ -1679,14 +1716,14 @@ impl EngineCore {
         addr: u64,
         len: u32,
         need_reads: u64,
-        data: &[u8],
+        data: Payload<'_>,
         out: &mut Vec<FabricOp>,
     ) {
-        debug_assert_eq!(data.len(), len as usize);
+        debug_assert_eq!(data.bytes().len(), len as usize);
         self.write_payloads_in_flight = self.write_payloads_in_flight.saturating_sub(1);
-        // One pooled copy of the payload, shared by the staged (held) path
-        // and the immediate apply path — the old code copied twice.
-        let buf = self.cfg.arena.take_copy(data);
+        // The payload's own buffer, shared by the staged (held) path and
+        // the immediate apply path: a landed buffer goes on as it is.
+        let buf = data.into_buf(&self.cfg.arena);
         // Writes apply in seq order, so anything behind a held write queues
         // too, even if its own barrier is already satisfied.
         if need_reads > self.committed_reads || !self.held_writes.is_empty() {
@@ -1751,9 +1788,12 @@ impl EngineCore {
     }
 
     fn flush_write_stage(&mut self, out: &mut Vec<FabricOp>) {
-        for (seq, rkey, addr, data) in std::mem::take(&mut self.write_stage) {
+        // Drained in place: the stage keeps its capacity for the next run.
+        let mut stage = std::mem::take(&mut self.write_stage);
+        for (seq, rkey, addr, data) in stage.drain(..) {
             self.emit_pool_write(seq, rkey, addr, data, out);
         }
+        self.write_stage = stage;
     }
 
     fn emit_pool_write(
@@ -1811,7 +1851,13 @@ impl EngineCore {
 
     /// Phase III step 2a: read data arrived from the pool; stage it for the
     /// compute node (batched for Spot, immediate for P4).
-    fn handle_read_data(&mut self, seq: u64, resp_addr: u64, data: &[u8], out: &mut Vec<FabricOp>) {
+    fn handle_read_data(
+        &mut self,
+        seq: u64,
+        resp_addr: u64,
+        data: Payload<'_>,
+        out: &mut Vec<FabricOp>,
+    ) {
         self.pool_reads_in_flight -= 1;
         // Responses arrive in issue order (single FIFO QP to the pool).
         debug_assert_eq!(seq, self.read_progress + self.batch_entries as u64 + 1);
@@ -1820,13 +1866,15 @@ impl EngineCore {
             self.maybe_flush_batch(out, true);
         }
         if self.batch_entries == 0 {
-            self.batch_buf = self.cfg.arena.take();
+            // The batch's first response becomes its buffer (a landed one
+            // as it is)...
+            self.batch_buf = data.into_buf(&self.cfg.arena);
             self.batch_start = resp_addr;
+        } else {
+            // ...and the rest append to it: at most one copy between the
+            // pool's bytes and the compute-bound write.
+            self.batch_buf.extend_from_slice(data.bytes());
         }
-        // The single copy on the read path: pool bytes append straight into
-        // the pooled compute-bound buffer (previously each response was
-        // copied into its own Vec and again into the flush payload).
-        self.batch_buf.extend_from_slice(data);
         self.batch_entries += 1;
         self.batch_last_seq = seq;
         if self.batch_entries >= self.cfg.effective_batch() {

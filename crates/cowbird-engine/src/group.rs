@@ -46,13 +46,11 @@ use std::time::{Duration, Instant};
 
 use cowbird::Doorbell;
 use rdma::buf::{ArenaStats, BufArena};
-use rdma::mem::Region;
-use rdma::verbs::{WorkRequest, WrOp};
 use telemetry::profile::{CostAccount, Phase};
 use telemetry::{Component, MetricsRegistry, Profiler};
 
 use crate::core::{EngineConfig, EngineCore, EngineStats, FabricOp};
-use crate::spot::SpotWiring;
+use crate::spot::{deliver, post_ops, Landing, SpotWiring};
 
 /// Tuning for an [`EngineGroup`].
 #[derive(Clone, Debug)]
@@ -226,10 +224,7 @@ struct GroupShared {
 struct ChannelSlot {
     core: EngineCore,
     wiring: SpotWiring,
-    scratch: Region,
-    scratch_lkey: rdma::mem::Rkey,
-    scratch_cursor: u64,
-    pending: HashMap<u64, Pending>,
+    pending: HashMap<u64, Landing>,
     next_wr: u64,
     next_probe_at: Instant,
     /// `reads_executed + writes_executed` at the last rebalance tick.
@@ -239,27 +234,11 @@ struct ChannelSlot {
     interval_ops: u64,
 }
 
-/// Completion bookkeeping for one posted WR: one part per merged request
-/// (plain ops carry one), delivered in order when the wire completion
-/// arrives. `len == 0` marks a tagged-write acknowledgment.
-struct Pending {
-    parts: Vec<(u64, u64, u32)>,
-}
-
-/// Scratch landing zone per channel: big enough for a full probe + meta +
-/// data pipeline, far smaller than the agent's (a group drives many).
-const SLOT_SCRATCH: usize = 1 << 20;
-
 impl ChannelSlot {
     fn new(wiring: SpotWiring, cfg: EngineConfig, now: Instant) -> ChannelSlot {
-        let scratch = Region::new(SLOT_SCRATCH);
-        let scratch_lkey = wiring.nic.register(scratch.clone());
         ChannelSlot {
             core: EngineCore::new(cfg),
             wiring,
-            scratch,
-            scratch_lkey,
-            scratch_cursor: 0,
             pending: HashMap::new(),
             next_wr: 1,
             next_probe_at: now,
@@ -268,137 +247,10 @@ impl ChannelSlot {
         }
     }
 
-    fn alloc(&mut self, len: u32) -> u64 {
-        let cap = self.scratch.len() as u64;
-        let len = len as u64;
-        if self.scratch_cursor % cap + len > cap {
-            self.scratch_cursor += cap - self.scratch_cursor % cap;
-        }
-        let off = self.scratch_cursor % cap;
-        self.scratch_cursor += len;
-        off
-    }
-
     fn exec(&mut self, ops: Vec<FabricOp>) {
         let chaining = self.core.config().coalescing();
-        let mut posts: Vec<(rdma::qp::QpNum, WorkRequest)> = Vec::with_capacity(ops.len());
-        for op in ops {
-            let (qpn, wr_op, parts) = match op {
-                FabricOp::ReadCompute { offset, len, tag } => {
-                    let off = self.alloc(len);
-                    (
-                        self.wiring.compute_qpn,
-                        WrOp::Read {
-                            local_rkey: self.scratch_lkey,
-                            local_addr: off,
-                            remote_addr: offset,
-                            remote_rkey: self.wiring.channel_rkey,
-                            len,
-                        },
-                        vec![(tag, off, len)],
-                    )
-                }
-                FabricOp::ReadPool {
-                    rkey,
-                    addr,
-                    len,
-                    tag,
-                } => {
-                    let off = self.alloc(len);
-                    (
-                        self.wiring.pool_qpn,
-                        WrOp::Read {
-                            local_rkey: self.scratch_lkey,
-                            local_addr: off,
-                            remote_addr: addr,
-                            remote_rkey: rkey,
-                            len,
-                        },
-                        vec![(tag, off, len)],
-                    )
-                }
-                FabricOp::ReadPoolSg { rkey, addr, parts } => {
-                    // One SG verb for the contiguous remote run; per-part
-                    // scratch segments let the single completion scatter
-                    // back into per-request payloads.
-                    let mut segments = Vec::with_capacity(parts.len());
-                    let mut bookkeeping = Vec::with_capacity(parts.len());
-                    for (len, tag) in parts {
-                        let off = self.alloc(len);
-                        segments.push((off, len));
-                        bookkeeping.push((tag, off, len));
-                    }
-                    (
-                        self.wiring.pool_qpn,
-                        WrOp::ReadSg {
-                            local_rkey: self.scratch_lkey,
-                            segments,
-                            remote_addr: addr,
-                            remote_rkey: rkey,
-                        },
-                        bookkeeping,
-                    )
-                }
-                FabricOp::WriteCompute { offset, data, tag } => (
-                    self.wiring.compute_qpn,
-                    WrOp::WriteInline {
-                        remote_addr: offset,
-                        remote_rkey: self.wiring.channel_rkey,
-                        data,
-                    },
-                    // Tagged writes (red publishes) feed their delivery
-                    // acknowledgment back; len 0 marks "no payload".
-                    if tag != 0 {
-                        vec![(tag, 0, 0)]
-                    } else {
-                        Vec::new()
-                    },
-                ),
-                FabricOp::WritePool { rkey, addr, data } => (
-                    self.wiring.pool_qpn,
-                    WrOp::WriteInline {
-                        remote_addr: addr,
-                        remote_rkey: rkey,
-                        data,
-                    },
-                    Vec::new(),
-                ),
-                FabricOp::WritePoolSg {
-                    rkey,
-                    addr,
-                    segments,
-                } => (
-                    self.wiring.pool_qpn,
-                    WrOp::WriteSg {
-                        remote_addr: addr,
-                        remote_rkey: rkey,
-                        segments,
-                    },
-                    Vec::new(),
-                ),
-            };
-            let wr_id = self.next_wr;
-            self.next_wr += 1;
-            if !parts.is_empty() {
-                self.pending.insert(wr_id, Pending { parts });
-            }
-            posts.push((qpn, WorkRequest { wr_id, op: wr_op }));
-        }
-        if chaining {
-            // One doorbell per run of same-QP WRs.
-            let mut iter = posts.into_iter().peekable();
-            while let Some((qpn, wr)) = iter.next() {
-                let mut chain = vec![wr];
-                while iter.peek().is_some_and(|(q, _)| *q == qpn) {
-                    chain.push(iter.next().unwrap().1);
-                }
-                self.wiring.nic.post_chain(qpn, chain).expect("group post");
-            }
-        } else {
-            for (qpn, wr) in posts {
-                self.wiring.nic.post(qpn, wr).expect("group post");
-            }
-        }
+        let (pending, next_wr) = (&mut self.pending, &mut self.next_wr);
+        post_ops(&self.wiring, chaining, ops, pending, next_wr);
     }
 
     /// One non-blocking pass: probe if due, poll the CQ once, dispatch.
@@ -432,23 +284,14 @@ impl ChannelSlot {
                 self.pending.clear();
                 continue;
             }
-            let Some(p) = self.pending.remove(&c.wr_id) else {
+            let Some(landing) = self.pending.remove(&c.wr_id) else {
                 continue;
             };
-            // An SG read completes all its parts at once; scatter them
-            // back through the core in merge order.
-            for (tag, off, len) in p.parts {
-                let data = if len == 0 {
-                    Vec::new()
-                } else {
-                    self.scratch.read_vec(off, len as usize).unwrap()
-                };
-                let ops = {
-                    let _scope = shard.profiler.scope(Phase::Execute);
-                    self.core.on_data(tag, &data)
-                };
-                self.exec(ops);
-            }
+            let ops = {
+                let _scope = shard.profiler.scope(Phase::Execute);
+                deliver(&mut self.core, landing, c.data)
+            };
+            self.exec(ops);
         }
         work
     }
@@ -921,6 +764,7 @@ mod tests {
     use cowbird::layout::ChannelLayout;
     use cowbird::region::{RegionMap, RemoteRegion};
     use rdma::emu::EmuFabric;
+    use rdma::mem::Region;
 
     struct GroupBed {
         _fabric: EmuFabric,

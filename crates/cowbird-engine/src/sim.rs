@@ -14,6 +14,7 @@
 
 use simnet::fasthash::FastHashMap;
 
+use rdma::buf::PoolBuf;
 use rdma::mem::{Region, Rkey};
 use rdma::qp::{QpConfig, QpNum};
 use rdma::sim::SimNic;
@@ -59,31 +60,38 @@ struct Instance {
 struct PendingElection {
     instance: usize,
     bid: u64,
-    red: Vec<u8>,
+    red: PoolBuf,
 }
 
+/// An owned read in flight; its landed buffer is handed over on completion.
 struct PendingRead {
     instance: usize,
     tag: u64,
-    scratch_off: u64,
-    len: u32,
-    probe_like: bool,
     /// This read fetched the predecessor's red block for a standby
     /// takeover; its completion feeds `adopt_from_red`, not `on_data`.
     adopt: bool,
-    /// Scatter-gather read: `(tag, scratch_off, len)` per segment, delivered
-    /// to the core in order on completion. Empty for plain single reads
-    /// (which use the scalar fields above).
-    parts: Vec<(u64, u64, u32)>,
+    /// Coalesced read: `(len, tag)` per merged request, each delivered to
+    /// the core in order as its slice of the one landed buffer. Empty for
+    /// plain single reads (which use `tag`).
+    parts: Vec<(u32, u64)>,
+}
+
+impl PendingRead {
+    /// A plain read whose landed buffer goes to the core under `tag`.
+    fn plain(instance: usize, tag: u64) -> PendingRead {
+        PendingRead {
+            instance,
+            tag,
+            adopt: false,
+            parts: Vec::new(),
+        }
+    }
 }
 
 /// The offload engine as a simulation node (works for both variants; the
 /// [`EngineConfig`] decides batching and the consistency gate).
 pub struct EngineNode {
     nic: SimNic,
-    scratch: Region,
-    scratch_lkey: Rkey,
-    scratch_cursor: u64,
     instances: Vec<Instance>,
     pending: FastHashMap<u64, PendingRead>,
     /// In-flight election CAS bids: wr_id -> bid.
@@ -100,9 +108,6 @@ pub struct EngineNode {
     /// Completion-batch scratch for [`SimNic::poll_into`], reused across
     /// reaps (zero-alloc completion path).
     cq_scratch: Vec<Completion>,
-    /// Fetched-data scratch for [`Region::read_into`], reused across
-    /// completions (zero-alloc data delivery).
-    data_scratch: Vec<u8>,
     /// Staged-op scratch for [`EngineCore::on_data_into`], reused across
     /// completions (zero-alloc op emission).
     ops_scratch: Vec<FabricOp>,
@@ -116,14 +121,8 @@ impl Default for EngineNode {
 
 impl EngineNode {
     pub fn new() -> EngineNode {
-        let mut nic = SimNic::new();
-        let scratch = Region::new(32 << 20);
-        let scratch_lkey = nic.register(scratch.clone());
         EngineNode {
-            nic,
-            scratch,
-            scratch_lkey,
-            scratch_cursor: 0,
+            nic: SimNic::new(),
             instances: Vec::new(),
             pending: FastHashMap::default(),
             pending_elections: FastHashMap::default(),
@@ -133,7 +132,6 @@ impl EngineNode {
             data_prio: 1,
             nic_tick: Duration::from_micros(50),
             cq_scratch: Vec::new(),
-            data_scratch: Vec::new(),
             ops_scratch: Vec::new(),
         }
     }
@@ -220,17 +218,6 @@ impl EngineNode {
         }
     }
 
-    fn alloc_scratch(&mut self, len: u32) -> u64 {
-        let cap = self.scratch.len() as u64;
-        let len = len as u64;
-        if self.scratch_cursor % cap + len > cap {
-            self.scratch_cursor += cap - self.scratch_cursor % cap;
-        }
-        let off = self.scratch_cursor % cap;
-        self.scratch_cursor += len;
-        off
-    }
-
     fn exec_ops(&mut self, instance: usize, ops: &mut Vec<FabricOp>, ctx: &mut Ctx) {
         for op in ops.drain(..) {
             match op {
@@ -240,13 +227,13 @@ impl EngineNode {
                     // it travels on the dedicated low-priority probe QP.
                     let probe_like = offset == cowbird::layout::GREEN_OFFSET
                         && len == cowbird::layout::GREEN_LEN as u32;
-                    let qpn = if probe_like {
-                        inst.probe_qpn
+                    let (qpn, prio) = if probe_like {
+                        (inst.probe_qpn, self.probe_prio)
                     } else {
-                        inst.compute_qpn
+                        (inst.compute_qpn, self.data_prio)
                     };
-                    let rkey = inst.channel_rkey;
-                    self.post_read(instance, qpn, rkey, offset, len, tag, probe_like, ctx);
+                    let (rkey, pending) = (inst.channel_rkey, PendingRead::plain(instance, tag));
+                    self.post_read(pending, qpn, rkey, offset, len, prio, ctx);
                 }
                 FabricOp::ReadPool {
                     rkey,
@@ -254,8 +241,9 @@ impl EngineNode {
                     len,
                     tag,
                 } => {
-                    let qpn = self.instances[instance].pool_qpn;
-                    self.post_read(instance, qpn, rkey, addr, len, tag, false, ctx);
+                    let (qpn, prio) = (self.instances[instance].pool_qpn, self.data_prio);
+                    let pending = PendingRead::plain(instance, tag);
+                    self.post_read(pending, qpn, rkey, addr, len, prio, ctx);
                 }
                 FabricOp::WriteCompute { offset, data, tag } => {
                     let inst = &self.instances[instance];
@@ -278,8 +266,15 @@ impl EngineNode {
                     self.post_write(instance, qpn, rkey, addr, data, 0, prio, ctx);
                 }
                 FabricOp::ReadPoolSg { rkey, addr, parts } => {
-                    let qpn = self.instances[instance].pool_qpn;
-                    self.post_read_sg(instance, qpn, rkey, addr, parts, ctx);
+                    // One owned read for the contiguous run; each part is a
+                    // slice of the landed buffer.
+                    let (qpn, prio) = (self.instances[instance].pool_qpn, self.data_prio);
+                    let len = parts.iter().map(|(l, _)| l).sum();
+                    let pending = PendingRead {
+                        parts,
+                        ..PendingRead::plain(instance, 0)
+                    };
+                    self.post_read(pending, qpn, rkey, addr, len, prio, ctx);
                 }
                 FabricOp::WritePoolSg {
                     rkey,
@@ -304,93 +299,28 @@ impl EngineNode {
         }
     }
 
-    /// Post one scatter-gather read covering a contiguous remote run; each
-    /// `(len, tag)` part lands in its own scratch segment and is delivered
-    /// to the core in order when the single CQE arrives.
-    fn post_read_sg(
-        &mut self,
-        instance: usize,
-        qpn: QpNum,
-        rkey: Rkey,
-        addr: u64,
-        parts: Vec<(u32, u64)>,
-        ctx: &mut Ctx,
-    ) {
-        let mut segments = Vec::with_capacity(parts.len());
-        let mut pending_parts = Vec::with_capacity(parts.len());
-        for (len, tag) in parts {
-            let scratch_off = self.alloc_scratch(len);
-            segments.push((scratch_off, len));
-            pending_parts.push((tag, scratch_off, len));
-        }
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        self.pending.insert(
-            wr_id,
-            PendingRead {
-                instance,
-                tag: 0,
-                scratch_off: 0,
-                len: 0,
-                probe_like: false,
-                adopt: false,
-                parts: pending_parts,
-            },
-        );
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::ReadSg {
-                local_rkey: self.scratch_lkey,
-                segments,
-                remote_addr: addr,
-                remote_rkey: rkey,
-            },
-        };
-        let prio = self.data_prio;
-        self.post_and_send(qpn, wr, prio, ctx, "post_read_sg");
-    }
-
+    /// Post an owned read whose landed buffer `pending` routes.
     #[allow(clippy::too_many_arguments)]
     fn post_read(
         &mut self,
-        instance: usize,
+        pending: PendingRead,
         qpn: QpNum,
         rkey: Rkey,
         addr: u64,
         len: u32,
-        tag: u64,
-        probe_like: bool,
+        prio: u8,
         ctx: &mut Ctx,
     ) {
-        let scratch_off = self.alloc_scratch(len);
         let wr_id = self.next_wr;
         self.next_wr += 1;
-        self.pending.insert(
-            wr_id,
-            PendingRead {
-                instance,
-                tag,
-                scratch_off,
-                len,
-                probe_like,
-                adopt: false,
-                parts: Vec::new(),
-            },
-        );
+        self.pending.insert(wr_id, pending);
         let wr = WorkRequest {
             wr_id,
-            op: WrOp::Read {
-                local_rkey: self.scratch_lkey,
-                local_addr: scratch_off,
+            op: WrOp::ReadOwned {
                 remote_addr: addr,
                 remote_rkey: rkey,
                 len,
             },
-        };
-        let prio = if probe_like {
-            self.probe_prio
-        } else {
-            self.data_prio
         };
         self.post_and_send(qpn, wr, prio, ctx, "post_read");
     }
@@ -426,36 +356,14 @@ impl EngineNode {
     /// Kick off a standby takeover: read the predecessor's red block from
     /// the channel region.
     fn post_adopt_read(&mut self, instance: usize, ctx: &mut Ctx) {
-        let len = cowbird::layout::RED_LEN as u32;
-        let scratch_off = self.alloc_scratch(len);
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        self.pending.insert(
-            wr_id,
-            PendingRead {
-                instance,
-                tag: 0,
-                scratch_off,
-                len,
-                probe_like: false,
-                adopt: true,
-                parts: Vec::new(),
-            },
-        );
+        let pending = PendingRead {
+            adopt: true,
+            ..PendingRead::plain(instance, 0)
+        };
         let inst = &self.instances[instance];
         let (qpn, rkey) = (inst.compute_qpn, inst.channel_rkey);
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::Read {
-                local_rkey: self.scratch_lkey,
-                local_addr: scratch_off,
-                remote_addr: cowbird::layout::RED_OFFSET,
-                remote_rkey: rkey,
-                len,
-            },
-        };
-        let prio = self.data_prio;
-        self.post_and_send(qpn, wr, prio, ctx, "standby adopt read");
+        let (red, len) = (cowbird::layout::RED_OFFSET, cowbird::layout::RED_LEN as u32);
+        self.post_read(pending, qpn, rkey, red, len, self.data_prio, ctx);
     }
 
     /// Second leg of the takeover: bid for leadership by CASing the
@@ -463,7 +371,7 @@ impl EngineNode {
     /// successor epoch. With several standbys racing, exactly one CAS
     /// observes the predecessor value — the rest see the winner's epoch in
     /// the atomic completion and stand down.
-    fn post_election_cas(&mut self, instance: usize, bid: u64, red: Vec<u8>, ctx: &mut Ctx) {
+    fn post_election_cas(&mut self, instance: usize, bid: u64, red: PoolBuf, ctx: &mut Ctx) {
         let wr_id = self.next_wr;
         self.next_wr += 1;
         self.pending_elections
@@ -526,18 +434,18 @@ impl EngineNode {
     }
 
     fn drain_completions(&mut self, ctx: &mut Ctx) {
-        // Completion batches and fetched-data bytes land in node-owned
-        // scratch (taken for the duration — the handlers below need `&mut
-        // self`): the steady-state reap path allocates nothing.
+        // Completion batches land in node-owned scratch (taken for the
+        // duration — the handlers below need `&mut self`): the steady-state
+        // reap path allocates nothing. Each read completion carries its own
+        // landed buffer.
         let mut comps = std::mem::take(&mut self.cq_scratch);
-        let mut data = std::mem::take(&mut self.data_scratch);
         let mut ops = std::mem::take(&mut self.ops_scratch);
         loop {
             comps.clear();
             if self.nic.poll_into(64, &mut comps) == 0 {
                 break;
             }
-            for c in comps.iter().copied() {
+            for c in comps.drain(..) {
                 if c.kind == WrKind::Write {
                     let Some((instance, tag)) = self.pending_writes.remove(&c.wr_id) else {
                         continue;
@@ -576,32 +484,12 @@ impl EngineNode {
                     }
                     continue;
                 }
-                if !p.parts.is_empty() {
-                    // Scatter-gather completion: deliver every part in order
-                    // under one Execute scope (one CQE, one dispatch visit).
-                    let prof = self.instances[p.instance].core.profiler().clone();
-                    let _exec_scope = prof.scope(telemetry::Phase::Execute);
-                    for (tag, off, len) in &p.parts {
-                        self.scratch
-                            .read_into(*off, *len as usize, &mut data)
-                            .expect("scratch read");
-                        ops.clear();
-                        self.instances[p.instance]
-                            .core
-                            .on_data_into(*tag, &data, &mut ops);
-                        self.exec_ops(p.instance, &mut ops, ctx);
-                    }
-                    continue;
-                }
-                self.scratch
-                    .read_into(p.scratch_off, p.len as usize, &mut data)
-                    .expect("scratch read");
                 if p.adopt {
                     // First leg of the takeover done: the red snapshot is
                     // in. Bid for leadership iff the snapshot still shows
                     // the predecessor we were configured against — a newer
                     // epoch means a peer standby already won the race.
-                    let Some(red) = cowbird::layout::RedBlock::decode(&data) else {
+                    let Some(red) = cowbird::layout::RedBlock::decode(&c.data) else {
                         continue;
                     };
                     let bid = red.engine_epoch;
@@ -610,27 +498,40 @@ impl EngineNode {
                         self.instances[p.instance].core.note_election_lost(own, bid);
                         continue;
                     }
-                    // Cold path: the CAS keeps the snapshot, so hand the
-                    // scratch buffer over and restart with an empty one.
-                    self.post_election_cas(p.instance, bid, std::mem::take(&mut data), ctx);
+                    // The CAS keeps the snapshot until it settles.
+                    self.post_election_cas(p.instance, bid, c.data, ctx);
                     continue;
                 }
                 // Attribution: dispatching fetched data is the Execute
-                // phase. Virtual time does not advance inside a handler, so
-                // on the simulator the scope counts the visit (ns come from
+                // phase (one CQE, one visit, however many parts). Virtual
+                // time does not advance inside a handler, so on the
+                // simulator the scope counts the visit (ns come from
                 // cost-model charges where an experiment supplies them).
                 let prof = self.instances[p.instance].core.profiler().clone();
                 let _exec_scope = prof.scope(telemetry::Phase::Execute);
-                ops.clear();
-                self.instances[p.instance]
-                    .core
-                    .on_data_into(p.tag, &data, &mut ops);
-                let _ = p.probe_like;
-                self.exec_ops(p.instance, &mut ops, ctx);
+                if p.parts.is_empty() {
+                    ops.clear();
+                    self.instances[p.instance]
+                        .core
+                        .on_landed_into(p.tag, c.data, &mut ops);
+                    self.exec_ops(p.instance, &mut ops, ctx);
+                    continue;
+                }
+                // A coalesced read: every part, in order, is its slice of
+                // the one landed buffer.
+                let mut at = 0;
+                for &(len, tag) in &p.parts {
+                    let part = &c.data[at..at + len as usize];
+                    at += len as usize;
+                    ops.clear();
+                    self.instances[p.instance]
+                        .core
+                        .on_data_into(tag, part, &mut ops);
+                    self.exec_ops(p.instance, &mut ops, ctx);
+                }
             }
         }
         self.cq_scratch = comps;
-        self.data_scratch = data;
         self.ops_scratch = ops;
     }
 }

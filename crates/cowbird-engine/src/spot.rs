@@ -38,8 +38,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cowbird::layout::{RED_LEN, RED_OFFSET};
+use rdma::buf::PoolBuf;
 use rdma::emu::EmuNic;
-use rdma::mem::{Region, Rkey};
+use rdma::mem::Rkey;
 use rdma::qp::QpNum;
 use rdma::verbs::{WorkRequest, WrKind, WrOp};
 use telemetry::profile::Phase;
@@ -199,12 +200,127 @@ impl Drop for SpotAgent {
     }
 }
 
-/// Completion bookkeeping for one posted WR. A plain op carries one part;
-/// a coalesced SG read carries one part per merged request, delivered to
-/// the core in order when the single wire completion arrives. `len == 0`
-/// marks a tagged-write acknowledgment (no payload to read back).
-struct Pending {
-    parts: Vec<(u64, u64, u32)>,
+/// Where a posted WR's completion goes. A single read's tag takes the
+/// landed buffer whole, and a tagged write's tag its empty acknowledgment; a
+/// coalesced read's `(len, tag)` parts take consecutive slices of the one
+/// landed buffer, in merge order.
+pub(crate) enum Landing {
+    Tag(u64),
+    Parts(Vec<(u32, u64)>),
+}
+
+/// Turn the core's ops into work requests on `wiring`'s queue pairs and post
+/// them — one chain per run of same-QP WRs when `chaining` (one doorbell per
+/// destination run). Every WR whose completion the core wants back is
+/// recorded in `pending`.
+pub(crate) fn post_ops(
+    wiring: &SpotWiring,
+    chaining: bool,
+    ops: Vec<FabricOp>,
+    pending: &mut HashMap<u64, Landing>,
+    next_wr: &mut u64,
+) {
+    let read = |remote_addr, remote_rkey, len| WrOp::ReadOwned {
+        remote_addr,
+        remote_rkey,
+        len,
+    };
+    let mut posts: Vec<(QpNum, WorkRequest)> = Vec::with_capacity(ops.len());
+    for op in ops {
+        let (qpn, wr_op, landing) = match op {
+            FabricOp::ReadCompute { offset, len, tag } => (
+                wiring.compute_qpn,
+                read(offset, wiring.channel_rkey, len),
+                Some(Landing::Tag(tag)),
+            ),
+            FabricOp::ReadPool {
+                rkey,
+                addr,
+                len,
+                tag,
+            } => (
+                wiring.pool_qpn,
+                read(addr, rkey, len),
+                Some(Landing::Tag(tag)),
+            ),
+            // One owned read for the whole contiguous remote run.
+            FabricOp::ReadPoolSg { rkey, addr, parts } => (
+                wiring.pool_qpn,
+                read(addr, rkey, parts.iter().map(|(l, _)| l).sum()),
+                Some(Landing::Parts(parts)),
+            ),
+            FabricOp::WriteCompute { offset, data, tag } => (
+                wiring.compute_qpn,
+                WrOp::WriteInline {
+                    remote_addr: offset,
+                    remote_rkey: wiring.channel_rkey,
+                    data,
+                },
+                // Tagged writes (red publishes) want their delivery
+                // acknowledgment fed back.
+                (tag != 0).then_some(Landing::Tag(tag)),
+            ),
+            FabricOp::WritePool { rkey, addr, data } => (
+                wiring.pool_qpn,
+                WrOp::WriteInline {
+                    remote_addr: addr,
+                    remote_rkey: rkey,
+                    data,
+                },
+                None,
+            ),
+            FabricOp::WritePoolSg {
+                rkey,
+                addr,
+                segments,
+            } => (
+                wiring.pool_qpn,
+                WrOp::WriteSg {
+                    remote_addr: addr,
+                    remote_rkey: rkey,
+                    segments,
+                },
+                None,
+            ),
+        };
+        let wr_id = *next_wr;
+        *next_wr += 1;
+        if let Some(landing) = landing {
+            pending.insert(wr_id, landing);
+        }
+        posts.push((qpn, WorkRequest { wr_id, op: wr_op }));
+    }
+    if chaining {
+        let mut iter = posts.into_iter().peekable();
+        while let Some((qpn, wr)) = iter.next() {
+            let mut chain = vec![wr];
+            while iter.peek().is_some_and(|(q, _)| *q == qpn) {
+                chain.push(iter.next().unwrap().1);
+            }
+            wiring.nic.post_chain(qpn, chain).expect("engine post");
+        }
+    } else {
+        for (qpn, wr) in posts {
+            wiring.nic.post(qpn, wr).expect("engine post");
+        }
+    }
+}
+
+/// Feed one completion's landed buffer back through the core as `landing`
+/// routes it; returns the ops the deliveries emit, in order.
+pub(crate) fn deliver(core: &mut EngineCore, landing: Landing, data: PoolBuf) -> Vec<FabricOp> {
+    let mut ops = Vec::new();
+    match landing {
+        Landing::Tag(tag) => core.on_landed_into(tag, data, &mut ops),
+        Landing::Parts(parts) => {
+            let mut at = 0;
+            for (len, tag) in parts {
+                ops.extend(core.on_data(tag, &data[at..at + len as usize]));
+                at += len as usize;
+            }
+        }
+    }
+    ops
 }
 
 fn agent_loop(
@@ -217,163 +333,26 @@ fn agent_loop(
     // Cycle-attribution handle (cloned so scopes don't borrow the core
     // across its mutations). Disabled by default: one branch per scope.
     let prof = core.profiler().clone();
-    // Local landing zone for fetched data.
-    let scratch = Region::new(8 << 20);
-    let scratch_lkey = wiring.nic.register(scratch.clone());
-    let mut scratch_cursor: u64 = 0;
-    let mut pending: HashMap<u64, Pending> = HashMap::new();
+    let mut pending: HashMap<u64, Landing> = HashMap::new();
     let mut next_wr: u64 = 1;
-
     let chaining = core.config().coalescing();
-
-    let exec = |core: &mut EngineCore,
-                ops: Vec<FabricOp>,
-                pending: &mut HashMap<u64, Pending>,
-                scratch_cursor: &mut u64,
-                next_wr: &mut u64| {
-        let _ = core;
-        let mut posts: Vec<(QpNum, WorkRequest)> = Vec::with_capacity(ops.len());
-        for op in ops {
-            let (qpn, wr_op, parts) = match op {
-                FabricOp::ReadCompute { offset, len, tag } => {
-                    let off = alloc(scratch_cursor, scratch.len() as u64, len);
-                    (
-                        wiring.compute_qpn,
-                        WrOp::Read {
-                            local_rkey: scratch_lkey,
-                            local_addr: off,
-                            remote_addr: offset,
-                            remote_rkey: wiring.channel_rkey,
-                            len,
-                        },
-                        vec![(tag, off, len)],
-                    )
-                }
-                FabricOp::ReadPool {
-                    rkey,
-                    addr,
-                    len,
-                    tag,
-                } => {
-                    let off = alloc(scratch_cursor, scratch.len() as u64, len);
-                    (
-                        wiring.pool_qpn,
-                        WrOp::Read {
-                            local_rkey: scratch_lkey,
-                            local_addr: off,
-                            remote_addr: addr,
-                            remote_rkey: rkey,
-                            len,
-                        },
-                        vec![(tag, off, len)],
-                    )
-                }
-                FabricOp::ReadPoolSg { rkey, addr, parts } => {
-                    // One SG verb for the whole contiguous remote run; each
-                    // part lands in its own scratch segment so the single
-                    // completion scatters back into per-request payloads.
-                    let mut segments = Vec::with_capacity(parts.len());
-                    let mut bookkeeping = Vec::with_capacity(parts.len());
-                    for (len, tag) in parts {
-                        let off = alloc(scratch_cursor, scratch.len() as u64, len);
-                        segments.push((off, len));
-                        bookkeeping.push((tag, off, len));
-                    }
-                    (
-                        wiring.pool_qpn,
-                        WrOp::ReadSg {
-                            local_rkey: scratch_lkey,
-                            segments,
-                            remote_addr: addr,
-                            remote_rkey: rkey,
-                        },
-                        bookkeeping,
-                    )
-                }
-                FabricOp::WriteCompute { offset, data, tag } => (
-                    wiring.compute_qpn,
-                    WrOp::WriteInline {
-                        remote_addr: offset,
-                        remote_rkey: wiring.channel_rkey,
-                        data,
-                    },
-                    // Tagged writes (red publishes) want their delivery
-                    // acknowledgment fed back; len 0 marks "no payload".
-                    if tag != 0 {
-                        vec![(tag, 0, 0)]
-                    } else {
-                        Vec::new()
-                    },
-                ),
-                FabricOp::WritePool { rkey, addr, data } => (
-                    wiring.pool_qpn,
-                    WrOp::WriteInline {
-                        remote_addr: addr,
-                        remote_rkey: rkey,
-                        data,
-                    },
-                    Vec::new(),
-                ),
-                FabricOp::WritePoolSg {
-                    rkey,
-                    addr,
-                    segments,
-                } => (
-                    wiring.pool_qpn,
-                    WrOp::WriteSg {
-                        remote_addr: addr,
-                        remote_rkey: rkey,
-                        segments,
-                    },
-                    Vec::new(),
-                ),
-            };
-            let wr_id = *next_wr;
-            *next_wr += 1;
-            if !parts.is_empty() {
-                pending.insert(wr_id, Pending { parts });
-            }
-            posts.push((qpn, WorkRequest { wr_id, op: wr_op }));
-        }
-        if chaining {
-            // One doorbell per run of same-QP WRs: consecutive posts to the
-            // same destination go out as a single linked chain.
-            let mut iter = posts.into_iter().peekable();
-            while let Some((qpn, wr)) = iter.next() {
-                let mut chain = vec![wr];
-                while iter.peek().is_some_and(|(q, _)| *q == qpn) {
-                    chain.push(iter.next().unwrap().1);
-                }
-                wiring.nic.post_chain(qpn, chain).expect("agent post");
-            }
-        } else {
-            for (qpn, wr) in posts {
-                wiring.nic.post(qpn, wr).expect("agent post");
-            }
-        }
-    };
 
     // Standby path: adopt the predecessor's committed state from the red
     // block in the channel region before serving anything.
     if adopt {
-        let off = alloc(&mut scratch_cursor, scratch.len() as u64, RED_LEN as u32);
         let wr_id = next_wr;
         next_wr += 1;
+        let red_read = WorkRequest {
+            wr_id,
+            op: WrOp::ReadOwned {
+                remote_addr: RED_OFFSET,
+                remote_rkey: wiring.channel_rkey,
+                len: RED_LEN as u32,
+            },
+        };
         wiring
             .nic
-            .post(
-                wiring.compute_qpn,
-                WorkRequest {
-                    wr_id,
-                    op: WrOp::Read {
-                        local_rkey: scratch_lkey,
-                        local_addr: off,
-                        remote_addr: RED_OFFSET,
-                        remote_rkey: wiring.channel_rkey,
-                        len: RED_LEN as u32,
-                    },
-                },
-            )
+            .post(wiring.compute_qpn, red_read)
             .expect("standby red read");
         loop {
             if flags.stop.load(Ordering::Acquire) || flags.kill.load(Ordering::Acquire) {
@@ -385,8 +364,7 @@ fn agent_loop(
                 .find(|c| c.wr_id == wr_id && c.kind == WrKind::Read)
             {
                 if c.is_ok() {
-                    let red = scratch.read_vec(off, RED_LEN as usize).unwrap();
-                    core.adopt_from_red(&red);
+                    core.adopt_from_red(&c.data);
                 }
                 break;
             }
@@ -396,13 +374,7 @@ fn agent_loop(
         // zombie predecessor, via its own probe of the fence word) observes
         // the takeover without waiting for request traffic.
         let ops = core.red_update();
-        exec(
-            &mut core,
-            ops,
-            &mut pending,
-            &mut scratch_cursor,
-            &mut next_wr,
-        );
+        post_ops(&wiring, chaining, ops, &mut pending, &mut next_wr);
     }
 
     let mut drain_seen = false;
@@ -438,13 +410,7 @@ fn agent_loop(
             // clock.
             let _probe_scope = prof.scope(Phase::Probe);
             let ops = core.on_probe_due();
-            exec(
-                &mut core,
-                ops,
-                &mut pending,
-                &mut scratch_cursor,
-                &mut next_wr,
-            );
+            post_ops(&wiring, chaining, ops, &mut pending, &mut next_wr);
         }
 
         // Drain completions until the engine goes quiet for this round.
@@ -466,31 +432,14 @@ fn agent_loop(
                     pending.clear();
                     continue;
                 }
-                let Some(p) = pending.remove(&c.wr_id) else {
+                let Some(landing) = pending.remove(&c.wr_id) else {
                     continue;
                 };
                 // Attribution: dispatching fetched data through the state
                 // machine (and issuing the follow-up verbs) is Execute.
                 let _exec_scope = prof.scope(Phase::Execute);
-                // An SG read completes all its parts at once; scatter them
-                // back through the core in merge order.
-                for (tag, off, len) in p.parts {
-                    let data = if len == 0 {
-                        // A tagged write completed: the acknowledgment
-                        // carries no payload.
-                        Vec::new()
-                    } else {
-                        scratch.read_vec(off, len as usize).unwrap()
-                    };
-                    let ops = core.on_data(tag, &data);
-                    exec(
-                        &mut core,
-                        ops,
-                        &mut pending,
-                        &mut scratch_cursor,
-                        &mut next_wr,
-                    );
-                }
+                let ops = deliver(&mut core, landing, c.data);
+                post_ops(&wiring, chaining, ops, &mut pending, &mut next_wr);
             }
         }
 
@@ -518,16 +467,6 @@ fn agent_loop(
     core.stats
 }
 
-fn alloc(cursor: &mut u64, cap: u64, len: u32) -> u64 {
-    let len = len as u64;
-    if *cursor % cap + len > cap {
-        *cursor += cap - *cursor % cap;
-    }
-    let off = *cursor % cap;
-    *cursor += len;
-    off
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,6 +476,7 @@ mod tests {
     use cowbird::poll::PollGroup;
     use cowbird::region::{RegionMap, RemoteRegion};
     use rdma::emu::EmuFabric;
+    use rdma::mem::Region;
 
     /// The full three-party system on the emulated fabric: compute NIC,
     /// spot engine, memory pool — with real threads everywhere — plus the

@@ -22,7 +22,7 @@ use cowbird::poll::PollGroup;
 use cowbird::region::RegionId;
 use cowbird::reqid::ReqId;
 use rdma::emu::EmuNic;
-use rdma::mem::{Region, Rkey};
+use rdma::mem::Rkey;
 use rdma::qp::QpNum;
 use rdma::verbs::{WorkRequest, WrOp};
 
@@ -225,7 +225,8 @@ pub enum RdmaMode {
 
 /// An IDevice over raw one-sided RDMA to a memory pool region — the
 /// "One-sided RDMA" baselines of Figure 9. The calling thread posts and
-/// polls verbs itself.
+/// polls verbs itself. Reads are owned reads: each lands in its own
+/// response buffer, however many are pending.
 pub struct RdmaDevice {
     nic: EmuNic,
     qpn: QpNum,
@@ -233,10 +234,8 @@ pub struct RdmaDevice {
     /// Base offset of the log inside the pool region.
     pool_base: u64,
     mode: RdmaMode,
-    staging: Region,
-    staging_lkey: Rkey,
-    staging_cursor: u64,
-    inflight: HashMap<u64, (Token, Option<(u64, u32)>)>,
+    /// In-flight WRs: their token, and whether they are reads.
+    inflight: HashMap<u64, (Token, bool)>,
     ready: VecDeque<Completion>,
     next_wr: u64,
     next_token: Token,
@@ -250,33 +249,17 @@ impl RdmaDevice {
         pool_base: u64,
         mode: RdmaMode,
     ) -> RdmaDevice {
-        let staging = Region::new(8 << 20);
-        let staging_lkey = nic.register(staging.clone());
         RdmaDevice {
             nic,
             qpn,
             pool_rkey,
             pool_base,
             mode,
-            staging,
-            staging_lkey,
-            staging_cursor: 0,
             inflight: HashMap::new(),
             ready: VecDeque::new(),
             next_wr: 1,
             next_token: 1,
         }
-    }
-
-    fn stage(&mut self, len: u32) -> u64 {
-        let cap = self.staging.len() as u64;
-        let len = len as u64;
-        if self.staging_cursor % cap + len > cap {
-            self.staging_cursor += cap - self.staging_cursor % cap;
-        }
-        let off = self.staging_cursor % cap;
-        self.staging_cursor += len;
-        off
     }
 
     fn reap(&mut self, block_for: Option<u64>) {
@@ -292,12 +275,10 @@ impl RdmaDevice {
                 }
             }
             for c in got {
-                if let Some((token, read_info)) = self.inflight.remove(&c.wr_id) {
-                    let data = read_info
-                        .map(|(off, len)| self.staging.read_vec(off, len as usize).unwrap());
+                if let Some((token, read)) = self.inflight.remove(&c.wr_id) {
                     self.ready.push_back(Completion {
                         token,
-                        data,
+                        data: read.then(|| c.data.to_vec()),
                         ok: c.is_ok(),
                     });
                 }
@@ -317,7 +298,7 @@ impl Device for RdmaDevice {
         self.next_token += 1;
         let wr_id = self.next_wr;
         self.next_wr += 1;
-        self.inflight.insert(wr_id, (token, None));
+        self.inflight.insert(wr_id, (token, false));
         self.nic
             .post(
                 self.qpn,
@@ -342,16 +323,13 @@ impl Device for RdmaDevice {
         self.next_token += 1;
         let wr_id = self.next_wr;
         self.next_wr += 1;
-        let off = self.stage(len);
-        self.inflight.insert(wr_id, (token, Some((off, len))));
+        self.inflight.insert(wr_id, (token, true));
         self.nic
             .post(
                 self.qpn,
                 WorkRequest {
                     wr_id,
-                    op: WrOp::Read {
-                        local_rkey: self.staging_lkey,
-                        local_addr: off,
+                    op: WrOp::ReadOwned {
                         remote_addr: self.pool_base + addr,
                         remote_rkey: self.pool_rkey,
                         len,

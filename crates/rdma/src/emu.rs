@@ -414,15 +414,13 @@ mod tests {
         let client = fabric.add_nic();
         let server = fabric.add_nic();
         let (cq, _sq) = fabric.connect(&client, &server);
-        let local = Region::new(4096);
         let remote = Region::new(4096);
         for i in 0..8u64 {
             remote.write(i * 8, &(i * 3).to_le_bytes()).unwrap();
         }
-        let lkey = client.register(local.clone());
         let rkey = server.register(remote.clone());
 
-        // One chain: a gather write followed by scatter reads, one doorbell.
+        // One chain: a gather write followed by owned reads, one doorbell.
         let mut wrs = vec![WorkRequest {
             wr_id: 100,
             op: WrOp::WriteSg {
@@ -434,11 +432,10 @@ mod tests {
         for i in 0..8u64 {
             wrs.push(WorkRequest {
                 wr_id: i,
-                op: WrOp::ReadSg {
-                    local_rkey: lkey,
-                    segments: vec![(i * 8, 8)],
+                op: WrOp::ReadOwned {
                     remote_addr: i * 8,
                     remote_rkey: rkey,
+                    len: 8,
                 },
             });
         }
@@ -449,12 +446,10 @@ mod tests {
         for (k, c) in done[1..].iter().enumerate() {
             assert_eq!(c.wr_id, k as u64);
             assert!(c.is_ok());
+            assert_eq!(c.data, (k as u64 * 3).to_le_bytes()[..]);
         }
         assert_eq!(remote.read_vec(1024, 8).unwrap(), vec![5u8; 8]);
         assert_eq!(remote.read_vec(1032, 8).unwrap(), vec![6u8; 8]);
-        for i in 0..8u64 {
-            assert_eq!(local.read_vec(i * 8, 8).unwrap(), (i * 3).to_le_bytes());
-        }
     }
 
     #[test]

@@ -131,6 +131,9 @@ struct OutstandingWqe {
     op: WrOp,
     /// Read progress: bytes of response payload received so far.
     read_received: u32,
+    /// [`WrOp::ReadOwned`]: the first response segment's buffer, which
+    /// later segments append to; handed over in the completion.
+    landed: PoolBuf,
 }
 
 impl OutstandingWqe {
@@ -331,6 +334,7 @@ impl Qp {
             npsn,
             op: wr.op,
             read_received: 0,
+            landed: PoolBuf::empty(),
         });
         Ok(())
     }
@@ -347,9 +351,30 @@ impl Qp {
     /// Like [`Qp::handle`], but appends into a caller-owned scratch
     /// `QpOutput` ([`QpOutput::clear`] between packets) so the per-packet
     /// output vectors are allocated once per driver, not once per packet.
+    /// By-reference, so the payload is copied once into a buffer of the
+    /// QP's arena to own it; [`Qp::receive_into`] takes it from the packet.
     pub fn handle_into(
         &mut self,
         pkt: &RocePacket,
+        cat: &RegionCatalog,
+        now: Instant,
+        out: &mut QpOutput,
+    ) {
+        let payload = match &pkt.payload[..] {
+            [] => PoolBuf::empty(),
+            bytes => self.arena.take_copy(bytes),
+        };
+        self.receive_into(&mut RocePacket { payload, ..*pkt }, cat, now, out);
+    }
+
+    /// Feed an inbound packet whose payload the QP may keep: a read
+    /// response's payload buffer is taken out of `pkt` and becomes (or
+    /// extends) its owned read's landed buffer without a copy; everything
+    /// else is handled in place. Appends onto `out` like
+    /// [`Qp::handle_into`].
+    pub fn receive_into(
+        &mut self,
+        pkt: &mut RocePacket,
         cat: &RegionCatalog,
         now: Instant,
         out: &mut QpOutput,
@@ -407,7 +432,7 @@ impl Qp {
 
     fn handle_read_response(
         &mut self,
-        pkt: &RocePacket,
+        pkt: &mut RocePacket,
         cat: &RegionCatalog,
         now: Instant,
         out: &mut QpOutput,
@@ -430,16 +455,34 @@ impl Qp {
         let Some(len) = w.op.read_total_len() else {
             return;
         };
-        let offset = w.read_received as u64;
         let take = pkt.payload.len().min((len - w.read_received) as usize);
-        if scatter_read_payload(cat, &w.op, offset, &pkt.payload[..take]).is_err() {
-            out.completions.push(Completion::err(
-                w.wr_id,
-                WrKind::Read,
-                CompletionStatus::LocalError,
-            ));
-            self.outstanding.remove(front_idx);
-            return;
+        if let WrOp::Read {
+            local_rkey,
+            local_addr,
+            ..
+        } = w.op
+        {
+            let at = local_addr + w.read_received as u64;
+            if cat
+                .remote_write(local_rkey, at, &pkt.payload[..take])
+                .is_err()
+            {
+                out.completions.push(Completion::err(
+                    w.wr_id,
+                    WrKind::Read,
+                    CompletionStatus::LocalError,
+                ));
+                self.outstanding.remove(front_idx);
+                return;
+            }
+        } else if w.read_received == 0 {
+            // An owned read keeps the first segment's frame buffer (the
+            // packet is left the empty one)...
+            std::mem::swap(&mut w.landed, &mut pkt.payload);
+            w.landed.truncate(take);
+        } else {
+            // ...and appends every later segment to it.
+            w.landed.extend_from_slice(&pkt.payload[..take]);
         }
         w.read_received += take as u32;
         self.last_progress = now;
@@ -449,7 +492,13 @@ impl Qp {
         ) && w.read_received >= len;
         if done {
             let w = self.outstanding.remove(front_idx).unwrap();
-            out.completions.push(Completion::ok(w.wr_id, w.kind));
+            out.completions.push(Completion {
+                wr_id: w.wr_id,
+                kind: w.kind,
+                status: CompletionStatus::Success,
+                atomic_orig: None,
+                data: w.landed,
+            });
             // A read response also acknowledges everything before it.
             let first = w.first_psn;
             while let Some(front) = self.outstanding.front() {
@@ -518,13 +567,15 @@ impl Qp {
     }
 
     /// Replay every outstanding WQE from the front (Go-Back-N) onto `out`,
-    /// resetting in-progress read reassembly.
+    /// resetting in-progress read reassembly: a partly landed buffer is
+    /// dropped, and the replayed response lands afresh.
     fn go_back_n(&mut self, cat: &RegionCatalog, now: Instant, out: &mut Vec<RocePacket>) {
         self.counters.retransmit_rounds += 1;
         self.last_progress = now;
         let before = out.len();
         for w in self.outstanding.iter_mut() {
             w.read_received = 0;
+            w.landed = PoolBuf::empty();
             // Regenerate; local memory may have been updated, but Cowbird's
             // ring discipline guarantees slots are stable until completed.
             // A failure here would have failed at post time already.
@@ -750,47 +801,6 @@ impl Qp {
     }
 }
 
-/// Land `payload` (a slice of a read response starting `offset` bytes into
-/// the operation's total transfer) into the op's local destination: one
-/// contiguous range for a plain read, walked across the SGE list for a
-/// scatter read.
-fn scatter_read_payload(
-    cat: &RegionCatalog,
-    op: &WrOp,
-    mut offset: u64,
-    mut payload: &[u8],
-) -> Result<(), MemError> {
-    match op {
-        WrOp::Read {
-            local_rkey,
-            local_addr,
-            ..
-        } => cat.remote_write(*local_rkey, local_addr + offset, payload),
-        WrOp::ReadSg {
-            local_rkey,
-            segments,
-            ..
-        } => {
-            for (addr, len) in segments {
-                if payload.is_empty() {
-                    break;
-                }
-                let len = *len as u64;
-                if offset >= len {
-                    offset -= len;
-                    continue;
-                }
-                let take = payload.len().min((len - offset) as usize);
-                cat.remote_write(*local_rkey, addr + offset, &payload[..take])?;
-                payload = &payload[take..];
-                offset = 0;
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
 /// Generate the wire packets for an operation starting at `first_psn`,
 /// appending them to `out`; returns the operation's kind and the PSNs it
 /// consumes. A function of the configuration and the arena alone, so posting
@@ -816,30 +826,26 @@ fn build_packets(
         }),
         aeth: None,
     };
-    let read = |remote_addr: u64, remote_rkey: u32, len: u32| {
-        RocePacket::read_request(cfg.peer_qpn, first_psn, remote_addr, remote_rkey, len)
-    };
     Ok(match op {
         WrOp::Read {
             remote_addr,
             remote_rkey,
             len,
             ..
-        } => {
-            out.push(read(*remote_addr, *remote_rkey, *len));
-            (WrKind::Read, segments(cfg, *len as usize))
         }
-        WrOp::ReadSg {
-            segments: parts,
+        | WrOp::ReadOwned {
             remote_addr,
             remote_rkey,
-            ..
+            len,
         } => {
-            // One wire READ for the whole contiguous remote range; the
-            // scatter happens on the requester as responses land.
-            let total: u32 = parts.iter().map(|(_, l)| *l).sum();
-            out.push(read(*remote_addr, *remote_rkey, total));
-            (WrKind::Read, segments(cfg, total as usize))
+            out.push(RocePacket::read_request(
+                cfg.peer_qpn,
+                first_psn,
+                *remote_addr,
+                *remote_rkey,
+                *len,
+            ));
+            (WrKind::Read, segments(cfg, *len as usize))
         }
         WrOp::Write {
             local_rkey,
@@ -1425,45 +1431,164 @@ mod tests {
         assert!(pkts[0].payload.is_empty());
     }
 
+    /// Post an owned read of `len` bytes at `remote` offset 0 and carry it
+    /// to completion, through [`Qp::receive_into`] when `by_value`, else
+    /// through the by-reference [`Qp::handle_into`].
+    fn owned_read(mtu: usize, remote: &Region, len: u32, by_value: bool) -> (Completion, Qp) {
+        let (mut a, a_cat, mut b, mut b_cat) = pair(mtu);
+        let rkey = b_cat.register(remote.clone());
+        let wr = WorkRequest {
+            wr_id: 5,
+            op: WrOp::ReadOwned {
+                remote_addr: 0,
+                remote_rkey: rkey,
+                len,
+            },
+        };
+        let req = a.post(wr, &a_cat, Instant::ZERO).unwrap();
+        let resp = b.handle(&req[0], &b_cat, Instant::ZERO).emit;
+        let mut out = QpOutput::default();
+        for mut p in resp {
+            if by_value {
+                a.receive_into(&mut p, &a_cat, Instant::ZERO, &mut out);
+            } else {
+                a.handle_into(&p, &a_cat, Instant::ZERO, &mut out);
+            }
+        }
+        assert_eq!(out.completions.len(), 1);
+        (out.completions.pop().unwrap(), a)
+    }
+
     #[test]
-    fn scatter_read_lands_across_segments_and_mtu_boundaries() {
-        // MTU 256, total 600 bytes scattered into local segments of 100,
-        // 350 and 150 bytes: every response packet straddles at least one
-        // segment boundary.
-        let (mut a, mut a_cat, mut b, mut b_cat) = pair(256);
-        let local = Region::new(4096);
+    fn owned_read_lands_byte_exact_across_mtu_boundaries() {
+        let mtu = 256;
+        let remote = Region::new(8192);
+        let data: Vec<u8> = (0..8192u32).map(|i| (i % 253) as u8).collect();
+        remote.write(0, &data).unwrap();
+        for len in [0, 1, mtu - 1, mtu, mtu + 1, 4096 + 3] {
+            let (c, a) = owned_read(mtu, &remote, len as u32, true);
+            assert!(c.is_ok());
+            assert_eq!((c.wr_id, c.kind), (5, WrKind::Read));
+            assert_eq!(c.data, data[..len], "len {len}");
+            assert_eq!(a.outstanding(), 0);
+        }
+    }
+
+    #[test]
+    fn by_reference_and_by_value_land_identically() {
         let remote = Region::new(4096);
-        let data: Vec<u8> = (0..600u32).map(|i| (i % 241) as u8).collect();
-        remote.write(1000, &data).unwrap();
-        let lkey = a_cat.register(local.clone());
+        remote.write(0, &[0x5A; 3000]).unwrap();
+        for len in [0, 7, 1024, 3000] {
+            let (by_ref, _) = owned_read(1024, &remote, len, false);
+            let (by_val, _) = owned_read(1024, &remote, len, true);
+            assert_eq!(by_ref, by_val);
+            assert_eq!(by_val.data.len(), len as usize);
+        }
+    }
+
+    #[test]
+    fn owned_read_keeps_the_frame_buffer_of_a_single_segment_response() {
+        let (mut a, a_cat, _b, _b_cat) = pair(1024);
+        let wr = |wr_id| WorkRequest {
+            wr_id,
+            op: WrOp::ReadOwned {
+                remote_addr: 0,
+                remote_rkey: 9,
+                len: 10,
+            },
+        };
+        a.post(wr(1), &a_cat, Instant::ZERO).unwrap();
+        a.post(wr(2), &a_cat, Instant::ZERO).unwrap();
+        // The responder sends more than was asked for: exactly `len` lands,
+        // in the very buffer that carried it.
+        let resp = |psn, fill| RocePacket {
+            bth: Bth::new(Opcode::ReadResponseOnly, 1, psn),
+            reth: None,
+            aeth: Some(Aeth::ack(1)),
+            atomic: None,
+            atomic_ack: None,
+            payload: vec![fill; 20].into(),
+        };
+        let mut pkt = resp(0, 0xAB);
+        let at = pkt.payload.as_ptr();
+        let mut out = QpOutput::default();
+        a.receive_into(&mut pkt, &a_cat, Instant::ZERO, &mut out);
+        assert_eq!(out.completions[0].data, vec![0xAB; 10]);
+        assert_eq!(
+            out.completions[0].data.as_ptr(),
+            at,
+            "landed without a copy"
+        );
+        // A stale response for the finished read is dropped; the next read
+        // still lands only its own bytes.
+        a.receive_into(&mut resp(0, 0xEE), &a_cat, Instant::ZERO, &mut out);
+        assert_eq!(a.counters.dropped_out_of_order, 1);
+        a.receive_into(&mut resp(1, 0xCD), &a_cat, Instant::ZERO, &mut out);
+        assert_eq!(out.completions.len(), 2);
+        assert_eq!(out.completions[1].data, vec![0xCD; 10]);
+    }
+
+    #[test]
+    fn stale_and_out_of_order_segments_leave_the_landed_buffer_alone() {
+        let (mut a, a_cat, mut b, mut b_cat) = pair(256);
+        let remote = Region::new(4096);
+        let data: Vec<u8> = (0..700u32).map(|i| (i % 249) as u8).collect();
+        remote.write(0, &data).unwrap();
         let rkey = b_cat.register(remote);
+        let wr = WorkRequest {
+            wr_id: 3,
+            op: WrOp::ReadOwned {
+                remote_addr: 0,
+                remote_rkey: rkey,
+                len: 700,
+            },
+        };
+        let req = a.post(wr, &a_cat, Instant::ZERO).unwrap();
+        let segs = b.handle(&req[0], &b_cat, Instant::ZERO).emit;
+        assert_eq!(segs.len(), 3);
+        let mut out = QpOutput::default();
+        // First, then an early last, then the first again: only the first
+        // delivery lands.
+        for i in [0, 2, 0, 1, 1, 2] {
+            a.receive_into(&mut segs[i].clone(), &a_cat, Instant::ZERO, &mut out);
+        }
+        assert_eq!(a.counters.dropped_out_of_order, 3);
+        assert_eq!(out.completions.len(), 1);
+        assert_eq!(out.completions[0].data, data);
+    }
 
-        let pkts = a
-            .post(
-                WorkRequest {
-                    wr_id: 11,
-                    op: WrOp::ReadSg {
-                        local_rkey: lkey,
-                        segments: vec![(0, 100), (2000, 350), (512, 150)],
-                        remote_addr: 1000,
-                        remote_rkey: rkey,
-                    },
-                },
-                &a_cat,
-                Instant::ZERO,
-            )
-            .unwrap();
-        // Single wire READ consuming ceil(600/256) = 3 PSNs.
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(a.next_psn(), 3);
-
-        let (completions, _) = exchange(pkts, &mut b, &b_cat, &mut a, &a_cat);
-        assert_eq!(completions.len(), 1);
-        assert_eq!(completions[0].wr_id, 11);
-        assert!(completions[0].is_ok());
-        assert_eq!(local.read_vec(0, 100).unwrap(), data[..100]);
-        assert_eq!(local.read_vec(2000, 350).unwrap(), data[100..450]);
-        assert_eq!(local.read_vec(512, 150).unwrap(), data[450..600]);
+    #[test]
+    fn dropped_middle_segment_replays_and_lands_the_bytes_once() {
+        let (mut a, a_cat, mut b, mut b_cat) = pair(256);
+        let remote = Region::new(4096);
+        let data: Vec<u8> = (0..700u32).map(|i| (i % 247) as u8).collect();
+        remote.write(0, &data).unwrap();
+        let rkey = b_cat.register(remote);
+        let wr = WorkRequest {
+            wr_id: 4,
+            op: WrOp::ReadOwned {
+                remote_addr: 0,
+                remote_rkey: rkey,
+                len: 700,
+            },
+        };
+        let req = a.post(wr, &a_cat, Instant::ZERO).unwrap();
+        let mut segs = b.handle(&req[0], &b_cat, Instant::ZERO).emit;
+        segs.remove(1);
+        let mut out = QpOutput::default();
+        for mut p in segs {
+            a.receive_into(&mut p, &a_cat, Instant::ZERO, &mut out);
+        }
+        assert!(out.completions.is_empty());
+        // The timeout replays the request; the replayed response lands
+        // from scratch, not onto the first delivery's bytes.
+        let replay = a.tick(Instant(200_000), &a_cat);
+        assert_eq!(a.counters.retransmit_rounds, 1);
+        for mut p in b.handle(&replay[0], &b_cat, Instant::ZERO).emit {
+            a.receive_into(&mut p, &a_cat, Instant::ZERO, &mut out);
+        }
+        assert_eq!(out.completions.len(), 1);
+        assert_eq!(out.completions[0].data, data);
         assert_eq!(a.outstanding(), 0);
     }
 
@@ -1747,14 +1872,12 @@ mod tests {
 
     #[test]
     fn go_back_n_replays_sg_chain_exactly() {
-        // Post a chain of [WriteSg, ReadSg]; lose everything; the timeout
+        // Post a chain of [WriteSg, ReadOwned]; lose everything; the timeout
         // replay must regenerate identical packets and both WQEs must
         // complete exactly once.
-        let (mut a, mut a_cat, mut b, mut b_cat) = pair(1024);
-        let local = Region::new(1024);
+        let (mut a, a_cat, mut b, mut b_cat) = pair(1024);
         let remote = Region::new(1024);
         remote.write(0, &[9u8; 64]).unwrap();
-        let lkey = a_cat.register(local.clone());
         let rkey = b_cat.register(remote.clone());
 
         let lost_w = a
@@ -1775,11 +1898,10 @@ mod tests {
             .post(
                 WorkRequest {
                     wr_id: 2,
-                    op: WrOp::ReadSg {
-                        local_rkey: lkey,
-                        segments: vec![(0, 32), (100, 32)],
+                    op: WrOp::ReadOwned {
                         remote_addr: 0,
                         remote_rkey: rkey,
+                        len: 64,
                     },
                 },
                 &a_cat,
@@ -1796,8 +1918,8 @@ mod tests {
         assert_eq!(ids, vec![1, 2]);
         assert_eq!(remote.read_vec(512, 16).unwrap(), vec![1u8; 16]);
         assert_eq!(remote.read_vec(528, 16).unwrap(), vec![2u8; 16]);
-        assert_eq!(local.read_vec(0, 32).unwrap(), vec![9u8; 32]);
-        assert_eq!(local.read_vec(100, 32).unwrap(), vec![9u8; 32]);
+        let read = completions.iter().find(|c| c.wr_id == 2).unwrap();
+        assert_eq!(read.data, vec![9u8; 64]);
         assert_eq!(a.outstanding(), 0);
     }
 }

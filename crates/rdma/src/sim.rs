@@ -289,7 +289,9 @@ impl SimNic {
     /// and memory, and transmit every packet that comes back at `prio`.
     /// The frame is parsed in place and response frames are built in place,
     /// so a payload byte is touched once on the way in (frame to region)
-    /// and once on the way out (region to frame). Two-sided receive
+    /// and once on the way out (region to frame); an owned read's response
+    /// is not touched at all — its frame buffer reaches the poster in the
+    /// completion ([`crate::verbs::WrOp::ReadOwned`]). Two-sided receive
     /// payloads are not surfaced here; a driver that wants them uses
     /// [`SimNic::handle_packet_into`].
     pub fn deliver(&mut self, pkt: Packet, prio: u8, ctx: &mut Ctx) {
@@ -386,7 +388,7 @@ impl SimNic {
     }
 
     /// Scratch-reuse twin of [`SimNic::handle_roce`]; appends onto `out`.
-    pub fn handle_roce_into(&mut self, roce: RocePacket, now: Instant, out: &mut NicOutput) {
+    pub fn handle_roce_into(&mut self, mut roce: RocePacket, now: Instant, out: &mut NicOutput) {
         let qpn = roce.bth.dst_qp;
         let Some(qp) = self.qps.get_mut(&qpn) else {
             self.stats.rx_dropped_unroutable += 1;
@@ -401,10 +403,8 @@ impl SimNic {
         };
         let peer = *self.peer_node.get(&qpn).expect("qp without peer");
         self.qp_scratch.clear();
-        qp.handle_into(&roce, &self.catalog, now, &mut self.qp_scratch);
-        for c in self.qp_scratch.completions.drain(..) {
-            self.cq.push(c);
-        }
+        qp.receive_into(&mut roce, &self.catalog, now, &mut self.qp_scratch);
+        self.cq.push_all(&mut self.qp_scratch.completions);
         out.emit
             .extend(self.qp_scratch.emit.drain(..).map(|p| (peer, p)));
         out.receives

@@ -5,8 +5,6 @@
 //! poll a completion queue. The cost of doing just that — and nothing else —
 //! is what Cowbird eliminates from the compute node.
 
-use std::collections::VecDeque;
-
 use crate::buf::PoolBuf;
 use crate::mem::Rkey;
 
@@ -51,18 +49,16 @@ pub enum WrOp {
         remote_rkey: Rkey,
         data: PoolBuf,
     },
-    /// Scatter read: one contiguous remote range `[remote_addr, +Σlen)` of
-    /// `remote_rkey` scattered across several local `(addr, len)` segments of
-    /// `local_rkey`, in order. On the wire this is still a single READ
-    /// request (one PSN span); only the landing addresses differ, which is
-    /// exactly what scatter-gather elements buy on a real RNIC: one WQE, one
-    /// doorbell share, several placements.
-    ReadSg {
-        local_rkey: Rkey,
-        /// Local landing segments as `(local_addr, len)`, scattered in order.
-        segments: Vec<(u64, u32)>,
+    /// Owned read: remote `[remote_addr, +len)` of `remote_rkey` lands in no
+    /// local region. The response payload stays in the buffer of the frame
+    /// that carried it — later segments append to the first — and reaches
+    /// the poster as its completion's [`Completion::data`]. The buffer is
+    /// held exactly as long as the read is outstanding; a Go-Back-N replay
+    /// drops it and lands the replayed response afresh.
+    ReadOwned {
         remote_addr: u64,
         remote_rkey: Rkey,
+        len: u32,
     },
     /// Gather write: several local payload buffers written back-to-back to
     /// the contiguous remote range starting at `remote_addr`. Each segment
@@ -91,7 +87,7 @@ pub enum WrOp {
 impl WrOp {
     pub fn kind(&self) -> WrKind {
         match self {
-            WrOp::Read { .. } | WrOp::ReadSg { .. } => WrKind::Read,
+            WrOp::Read { .. } | WrOp::ReadOwned { .. } => WrKind::Read,
             WrOp::Write { .. } | WrOp::WriteInline { .. } | WrOp::WriteSg { .. } => WrKind::Write,
             WrOp::CompareSwap { .. } => WrKind::Atomic,
             WrOp::Send { .. } => WrKind::Send,
@@ -99,22 +95,20 @@ impl WrOp {
     }
 
     /// Number of scatter-gather elements this operation occupies in its WQE.
-    /// Plain operations carry one SGE; SG variants carry one per segment
+    /// Plain operations carry one SGE; a gather write carries one per segment
     /// (never reported as zero — an empty list still builds a WQE).
     pub fn num_sges(&self) -> usize {
         match self {
-            WrOp::ReadSg { segments, .. } => segments.len().max(1),
             WrOp::WriteSg { segments, .. } => segments.len().max(1),
             _ => 1,
         }
     }
 
-    /// Total payload bytes a read-class operation will deposit locally, if
-    /// this is a read.
+    /// Total payload bytes a read-class operation will receive, if this is
+    /// a read.
     pub fn read_total_len(&self) -> Option<u32> {
         match self {
-            WrOp::Read { len, .. } => Some(*len),
-            WrOp::ReadSg { segments, .. } => Some(segments.iter().map(|(_, l)| *l).sum()),
+            WrOp::Read { len, .. } | WrOp::ReadOwned { len, .. } => Some(*len),
             _ => None,
         }
     }
@@ -136,13 +130,16 @@ pub enum CompletionStatus {
 }
 
 /// A completion-queue entry.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Completion {
     pub wr_id: u64,
     pub kind: WrKind,
     pub status: CompletionStatus,
     /// For [`WrKind::Atomic`]: the target word's original value.
     pub atomic_orig: Option<u64>,
+    /// For [`WrOp::ReadOwned`]: the landed response, exactly the bytes
+    /// asked for. Empty for every other operation.
+    pub data: PoolBuf,
 }
 
 impl Completion {
@@ -152,6 +149,7 @@ impl Completion {
             kind,
             status: CompletionStatus::Success,
             atomic_orig: None,
+            data: PoolBuf::empty(),
         }
     }
 
@@ -162,6 +160,7 @@ impl Completion {
             kind: WrKind::Atomic,
             status: CompletionStatus::Success,
             atomic_orig: Some(orig),
+            data: PoolBuf::empty(),
         }
     }
 
@@ -171,6 +170,7 @@ impl Completion {
             kind,
             status,
             atomic_orig: None,
+            data: PoolBuf::empty(),
         }
     }
 
@@ -184,10 +184,11 @@ impl Completion {
 /// `polls` counts *calls* to [`CompletionQueue::poll`] (each one costs
 /// `CostModel::rdma_poll()` of CPU), not entries returned — matching how the
 /// paper measures: "the latency is for a single check of the completion
-/// queue".
+/// queue". Entries sit in a plain `Vec`: a poll that takes them all, the
+/// common case, moves the whole batch in one copy.
 #[derive(Debug, Default)]
 pub struct CompletionQueue {
-    entries: VecDeque<Completion>,
+    entries: Vec<Completion>,
     pub polls: u64,
     pub completions_delivered: u64,
 }
@@ -199,7 +200,13 @@ impl CompletionQueue {
 
     /// NIC side: push a completion.
     pub fn push(&mut self, c: Completion) {
-        self.entries.push_back(c);
+        self.entries.push(c);
+    }
+
+    /// NIC side: push every completion of `batch`, in order, leaving it
+    /// empty (one copy for the batch, not one move per entry).
+    pub fn push_all(&mut self, batch: &mut Vec<Completion>) {
+        self.entries.append(batch);
     }
 
     /// Host side: drain up to `max` completions (one "poll call").
@@ -216,7 +223,11 @@ impl CompletionQueue {
     pub fn poll_into(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
         self.polls += 1;
         let n = self.entries.len().min(max);
-        out.extend(self.entries.drain(..n));
+        if n == self.entries.len() {
+            out.append(&mut self.entries);
+        } else {
+            out.extend(self.entries.drain(..n));
+        }
         self.completions_delivered += n as u64;
         n
     }
@@ -240,12 +251,16 @@ mod tests {
         let mut cq = CompletionQueue::new();
         assert!(cq.poll(16).is_empty());
         cq.push(Completion::ok(1, WrKind::Read));
-        cq.push(Completion::ok(2, WrKind::Write));
-        cq.push(Completion::ok(3, WrKind::Read));
+        let mut batch = vec![
+            Completion::ok(2, WrKind::Write),
+            Completion::ok(3, WrKind::Read),
+        ];
+        cq.push_all(&mut batch);
+        assert!(batch.is_empty());
         let got = cq.poll(2);
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].wr_id, 1);
-        assert_eq!(cq.poll(2).len(), 1);
+        assert_eq!((got[0].wr_id, got[1].wr_id), (1, 2));
+        assert_eq!(cq.poll(2)[0].wr_id, 3);
         assert_eq!(cq.polls, 3);
         assert_eq!(cq.completions_delivered, 3);
         assert!(cq.is_empty());
@@ -271,16 +286,15 @@ mod tests {
     }
 
     #[test]
-    fn sg_ops_report_kind_sges_and_total_len() {
-        let rsg = WrOp::ReadSg {
-            local_rkey: 1,
-            segments: vec![(0, 16), (64, 48)],
+    fn ops_report_kind_sges_and_total_len() {
+        let owned = WrOp::ReadOwned {
             remote_addr: 1024,
             remote_rkey: 2,
+            len: 64,
         };
-        assert_eq!(rsg.kind(), WrKind::Read);
-        assert_eq!(rsg.num_sges(), 2);
-        assert_eq!(rsg.read_total_len(), Some(64));
+        assert_eq!(owned.kind(), WrKind::Read);
+        assert_eq!(owned.num_sges(), 1);
+        assert_eq!(owned.read_total_len(), Some(64));
 
         let wsg = WrOp::WriteSg {
             remote_addr: 0,

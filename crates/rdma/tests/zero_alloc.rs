@@ -1,12 +1,14 @@
 //! The payload path's zero-alloc claim, measured with a counting allocator
 //! (the discipline of `simnet/tests/zero_alloc.rs`).
 //!
-//! A warmed-up 4 KiB READ and 4 KiB WRITE between two queue pairs — posted,
-//! segmented at the MTU, every packet turned into its wire frame and parsed
-//! back on the other side, executed against the regions, acknowledged and
-//! completed — performs **zero heap allocations**: segments are read from
-//! the region into recycled buffers, frames are built and parsed in those
-//! same buffers, and every scratch vector is reused.
+//! A warmed-up 4 KiB READ, 4 KiB owned READ and 4 KiB WRITE between two
+//! queue pairs — posted, segmented at the MTU, every packet turned into its
+//! wire frame and parsed back on the other side, executed against the
+//! regions (or, for the owned read, landed in the frame buffers that carried
+//! it), acknowledged and completed — performs **zero heap allocations**:
+//! segments are read from the region into recycled buffers, frames are
+//! built and parsed in those same buffers, the owned read's landed buffer
+//! recycles when its completion drops, and every scratch vector is reused.
 //!
 //! The allocation counter is a process-global `#[global_allocator]`, so this
 //! file holds exactly one test: the quiet window is only meaningful while no
@@ -60,8 +62,9 @@ fn exchange<'a>(
         to.out.clear();
         for pkt in pkts.drain(..) {
             let frame = pkt.into_frame(&from.nic_arena);
-            let pkt = RocePacket::parse_frame(frame).expect("own encoding");
-            to.qp.handle_into(&pkt, &to.cat, Instant::ZERO, &mut to.out);
+            let mut pkt = RocePacket::parse_frame(frame).expect("own encoding");
+            to.qp
+                .receive_into(&mut pkt, &to.cat, Instant::ZERO, &mut to.out);
         }
         done.append(&mut to.out.completions);
         pkts.append(&mut to.out.emit);
@@ -70,7 +73,7 @@ fn exchange<'a>(
 }
 
 #[test]
-fn warmed_up_4k_read_and_write_allocate_nothing() {
+fn warmed_up_4k_reads_and_write_allocate_nothing() {
     let (local, remote) = (Region::new(1 << 16), Region::new(1 << 16));
     let pattern: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
     remote.write(8192, &pattern).unwrap();
@@ -87,6 +90,11 @@ fn warmed_up_4k_read_and_write_allocate_nothing() {
             remote_rkey: rkey,
             len: LEN,
         };
+        let owned = WrOp::ReadOwned {
+            remote_addr: 8192,
+            remote_rkey: rkey,
+            len: LEN,
+        };
         let write = WrOp::Write {
             local_rkey: lkey,
             local_addr: 0,
@@ -94,14 +102,15 @@ fn warmed_up_4k_read_and_write_allocate_nothing() {
             remote_rkey: rkey,
             len: LEN,
         };
-        for op in [read, write] {
+        for op in [read, owned, write] {
             let wr = WorkRequest { wr_id, op };
             a.qp.post_into(wr, &a.cat, Instant::ZERO, &mut pkts)
                 .expect("send queue has room");
             exchange(&mut pkts, &mut a, &mut b, &mut done);
         }
-        assert_eq!(done.len(), 2, "the read and the write completed");
+        assert_eq!(done.len(), 3, "both reads and the write completed");
         assert!(done.iter().all(|c| c.wr_id == wr_id && c.is_ok()));
+        assert_eq!(done[1].data, pattern[..], "the owned read landed");
         done.clear();
     };
 
@@ -115,7 +124,7 @@ fn warmed_up_4k_read_and_write_allocate_nothing() {
     let allocs = allocs_now() - before;
     assert_eq!(
         allocs, 0,
-        "allocations over 1000 warmed-up READ+WRITE rounds"
+        "allocations over 1000 warmed-up READ+owned READ+WRITE rounds"
     );
 
     // The bytes really moved: remote -> local by the read, local -> remote

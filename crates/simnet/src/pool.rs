@@ -217,6 +217,11 @@ impl PoolBuf {
         self.end = self.start;
     }
 
+    /// Keep the first `len` bytes of the contents (no-op if already shorter).
+    pub fn truncate(&mut self, len: usize) {
+        self.end = self.end.min(self.start + len);
+    }
+
     /// Spare bytes in front of the contents.
     pub fn headroom(&self) -> usize {
         self.start
@@ -388,6 +393,10 @@ mod tests {
         assert_eq!(b, vec![7u8, 8, 9]);
         b.extend_from_slice(&[10]);
         assert_eq!(b.clone(), vec![7u8, 8, 9, 10]);
+        b.truncate(9);
+        assert_eq!(b.len(), 4);
+        b.truncate(2);
+        assert_eq!(b, vec![7u8, 8]);
         // A recycled buffer comes back as an empty window at the front,
         // whatever window it left with.
         drop(b);
