@@ -238,9 +238,9 @@ impl EngineConfig {
         }
     }
 
-    /// Is the coalescing pipeline on? Drivers consult this to decide
-    /// between chained posts (one doorbell per destination run) and the
-    /// classic one-post-per-op path.
+    /// Is the coalescing pipeline on? Adjacent pool ops then merge into
+    /// SG verbs, and each emitted op vector is priced as one chained post
+    /// per destination run instead of one post per op.
     pub fn coalescing(&self) -> bool {
         self.coalesce_sge > 1
     }

@@ -3,15 +3,16 @@
 //! One Cowbird engine serves *many* channels — the paper provisions "one
 //! channel per hardware thread" on the compute side, while the offload side
 //! is supposed to stay cheap enough that a couple of spot cores (or one
-//! switch pipeline) carry the whole machine. [`SpotAgent`] is the
-//! one-thread-per-channel existence proof; [`EngineGroup`] is the shape a
-//! deployment actually wants:
+//! switch pipeline) carry the whole machine.
+//! [`SpotAgent`](crate::spot::SpotAgent) is the one-thread-per-channel
+//! existence proof; [`EngineGroup`] is the shape a deployment actually
+//! wants:
 //!
 //! * **M worker threads, each owning a shard of N channels.** A worker
-//!   makes one non-blocking [`EngineCore`] pass per channel per sweep:
-//!   issue the green probe when its (per-channel, adaptive) deadline is
-//!   due, poll that channel's completion queue, dispatch fetched data
-//!   through the state machine. No channel ever blocks its neighbours.
+//!   makes one non-blocking [`EngineCore`](crate::core::EngineCore) pass
+//!   per channel per sweep: issue the green probe when its (per-channel,
+//!   adaptive) deadline is due, poll that channel's completion queue,
+//!   dispatch fetched data through the state machine. No channel ever blocks its neighbours.
 //! * **An adaptive idle ladder.** A worker whose whole shard went quiet
 //!   spins briefly (latency), then yields (fairness), then *parks* on the
 //!   group [`Doorbell`] — woken either by a co-located client bumping the
@@ -34,11 +35,10 @@
 //!
 //! Wiring model: each channel carries its own [`SpotWiring`] — its own
 //! queue pairs (and, on the emulated fabric, its own NIC handle), exactly
-//! as a per-channel [`SpotAgent`] would. A slot's completion queue is
-//! therefore private to the slot, which is what makes handing the whole
-//! slot to another worker trivially safe.
+//! as a per-channel [`SpotAgent`](crate::spot::SpotAgent) would. A slot's
+//! completion queue is therefore private to the slot, which is what makes
+//! handing the whole slot to another worker trivially safe.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -49,18 +49,26 @@ use rdma::buf::{ArenaStats, BufArena};
 use telemetry::profile::{CostAccount, Phase};
 use telemetry::{Component, MetricsRegistry, Profiler};
 
-use crate::core::{EngineConfig, EngineCore, EngineStats, FabricOp};
-use crate::spot::{deliver, post_ops, Landing, SpotWiring};
+use crate::core::{EngineConfig, EngineStats};
+use crate::slot::{EmuPort, Slot};
+use crate::spot::SpotWiring;
+
+/// Idle ladder stage 1: busy-spin sweeps before yielding.
+const SPIN_LIMIT: u32 = 64;
+/// Idle ladder stage 2: yielding sweeps before parking.
+const YIELD_LIMIT: u32 = 64;
+/// Free-list budget of each shard's buffer arena, *per attached channel*.
+/// The shard re-caps its arena to `ARENA_POOLED × channels` whenever its
+/// channel count changes (adoption, donation, steal, retirement), so a
+/// shard driving eight channels pools eight channels' worth of in-flight
+/// payload buffers instead of thrashing a single-channel-sized free list.
+const ARENA_POOLED: usize = 256;
 
 /// Tuning for an [`EngineGroup`].
 #[derive(Clone, Debug)]
 pub struct GroupConfig {
     /// Worker threads (= shards).
     pub workers: usize,
-    /// Idle ladder stage 1: busy-spin sweeps before yielding.
-    pub spin_limit: u32,
-    /// Idle ladder stage 2: yielding sweeps before parking.
-    pub yield_limit: u32,
     /// Upper bound on one park (also how often an empty shard checks its
     /// inbox). The actual park is the *earlier* of this and the shard's
     /// next probe deadline.
@@ -79,26 +87,16 @@ pub struct GroupConfig {
     /// steals its hottest channel instead of waiting for a donation that
     /// is not coming.
     pub steal_interval: Duration,
-    /// Free-list budget of each shard's buffer arena, *per attached
-    /// channel*. The shard re-caps its arena to `arena_pooled × channels`
-    /// whenever its channel count changes (adoption, donation, steal,
-    /// retirement), so a shard driving eight channels pools eight channels'
-    /// worth of in-flight payload buffers instead of thrashing a
-    /// single-channel-sized free list.
-    pub arena_pooled: usize,
 }
 
 impl Default for GroupConfig {
     fn default() -> GroupConfig {
         GroupConfig {
             workers: 1,
-            spin_limit: 64,
-            yield_limit: 64,
             park_timeout: Duration::from_millis(1),
             rebalance_interval: Duration::from_millis(10),
             rebalance_min_ops: 16,
             steal_interval: Duration::from_millis(20),
-            arena_pooled: 256,
         }
     }
 }
@@ -219,13 +217,12 @@ struct GroupShared {
     finished: Mutex<Vec<FinishedChannel>>,
 }
 
-/// One channel's complete engine state; exclusively owned by one worker at
-/// a time and moved wholesale on rebalance.
+/// One channel's complete engine state — its driver slot, wiring, probe
+/// deadline and load counters; exclusively owned by one worker at a time
+/// and moved wholesale on rebalance.
 struct ChannelSlot {
-    core: EngineCore,
+    slot: Slot,
     wiring: SpotWiring,
-    pending: HashMap<u64, Landing>,
-    next_wr: u64,
     next_probe_at: Instant,
     /// `reads_executed + writes_executed` at the last rebalance tick.
     last_executed: u64,
@@ -237,63 +234,38 @@ struct ChannelSlot {
 impl ChannelSlot {
     fn new(wiring: SpotWiring, cfg: EngineConfig, now: Instant) -> ChannelSlot {
         ChannelSlot {
-            core: EngineCore::new(cfg),
+            slot: Slot::emu(&wiring, cfg, false),
             wiring,
-            pending: HashMap::new(),
-            next_wr: 1,
             next_probe_at: now,
             last_executed: 0,
             interval_ops: 0,
         }
     }
 
-    fn exec(&mut self, ops: Vec<FabricOp>) {
-        let chaining = self.core.config().coalescing();
-        let (pending, next_wr) = (&mut self.pending, &mut self.next_wr);
-        post_ops(&self.wiring, chaining, ops, pending, next_wr);
-    }
-
     /// One non-blocking pass: probe if due, poll the CQ once, dispatch.
     /// Returns whether anything happened.
-    fn pass(&mut self, now: Instant, shard: &ShardShared) -> bool {
+    fn pass(&mut self, now: Instant) -> bool {
+        let mut port = EmuPort::new(&self.wiring);
         let mut work = false;
         if now >= self.next_probe_at {
-            let ops = {
-                let _scope = shard.profiler.scope(Phase::Probe);
-                self.core.on_probe_due()
-            };
-            if !ops.is_empty() {
-                work = true;
-                self.exec(ops);
-            }
+            work = self.slot.probe(&mut port);
             // The core's adaptive policy speaks virtual (nanosecond)
             // durations; this driver runs on the wall clock.
-            self.next_probe_at = now + Duration::from_nanos(self.core.next_probe_interval().0);
+            let next = self.slot.core.next_probe_interval();
+            self.next_probe_at = now + Duration::from_nanos(next.0);
         }
-        if self.pending.is_empty() {
-            return work;
-        }
-        let completions = self.wiring.nic.poll(64);
-        if completions.is_empty() {
-            return work;
-        }
-        work = true;
-        for c in completions {
-            if !c.is_ok() {
-                self.core.reset_to_committed();
-                self.pending.clear();
-                continue;
-            }
-            let Some(landing) = self.pending.remove(&c.wr_id) else {
-                continue;
-            };
-            let ops = {
-                let _scope = shard.profiler.scope(Phase::Execute);
-                deliver(&mut self.core, landing, c.data)
-            };
-            self.exec(ops);
-        }
+        work |= self.slot.poll(&mut port);
+        port.flush();
         work
+    }
+
+    /// Issued-but-incomplete work: WRs in flight plus the parsed backlog.
+    fn depth(&self) -> u64 {
+        (self.slot.in_flight() + self.slot.core.backlog()) as u64
+    }
+
+    fn executed(&self) -> u64 {
+        self.slot.core.stats.reads_executed + self.slot.core.stats.writes_executed
     }
 }
 
@@ -316,7 +288,7 @@ impl EngineGroup {
                 let account = Arc::new(CostAccount::new());
                 ShardShared {
                     inbox: Mutex::new(Vec::new()),
-                    arena: BufArena::new(cfg.arena_pooled),
+                    arena: BufArena::new(ARENA_POOLED),
                     profiler: Profiler::attached(
                         Arc::clone(&account),
                         i as u16,
@@ -512,15 +484,15 @@ impl Drop for EngineGroup {
 /// Publish the shard's channel count and re-cap its arena to the
 /// per-channel budget times the channels it now drives (min one channel's
 /// worth, so an emptied shard still recycles its next adoption's traffic).
-fn publish_channels(me: &ShardShared, cfg: &GroupConfig, channels: usize) {
+fn publish_channels(me: &ShardShared, channels: usize) {
     me.channels.store(channels, Ordering::Release);
-    me.arena.set_max_pooled(cfg.arena_pooled * channels.max(1));
+    me.arena.set_max_pooled(ARENA_POOLED * channels.max(1));
 }
 
 fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
     let me = &shared.shards[shard_idx];
     let cfg = &shared.cfg;
-    let park_threshold = cfg.spin_limit + cfg.yield_limit;
+    let park_threshold = SPIN_LIMIT + YIELD_LIMIT;
     let mut slots: Vec<ChannelSlot> = Vec::new();
     let mut idle_streak: u32 = 0;
     let mut next_rebalance = Instant::now() + cfg.rebalance_interval;
@@ -528,15 +500,17 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
     let mut overload_streaks: Vec<u32> = vec![0; shared.shards.len()];
 
     while !shared.stop.load(Ordering::Acquire) {
-        // Adopt new/migrated channels; rebind them to this shard's arena.
+        // Adopt new/migrated channels; rebind them to this shard's arena
+        // and attribution account.
         {
             let mut inbox = me.inbox.lock().unwrap();
             if !inbox.is_empty() {
-                for mut slot in inbox.drain(..) {
-                    slot.core.set_arena(me.arena.clone());
-                    slots.push(slot);
+                for mut cs in inbox.drain(..) {
+                    cs.slot.core.set_arena(me.arena.clone());
+                    cs.slot.prof = me.profiler.clone();
+                    slots.push(cs);
                 }
-                publish_channels(me, cfg, slots.len());
+                publish_channels(me, slots.len());
                 idle_streak = 0;
             }
         }
@@ -550,10 +524,8 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
             let hottest = slots
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| !s.core.is_fenced())
-                .max_by_key(|(_, s)| {
-                    s.core.stats.reads_executed + s.core.stats.writes_executed - s.last_executed
-                });
+                .filter(|(_, s)| !s.slot.core.is_fenced())
+                .max_by_key(|(_, s)| s.executed() - s.last_executed);
             if let Some((idx, _)) = hottest {
                 let mut slot = slots.swap_remove(idx);
                 slot.interval_ops = 0;
@@ -562,7 +534,7 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
                 let to = &shared.shards[thief];
                 to.counters.migrations_in.fetch_add(1, Ordering::Relaxed);
                 to.inbox.lock().unwrap().push(slot);
-                publish_channels(me, cfg, slots.len());
+                publish_channels(me, slots.len());
                 shared.doorbell.ring();
             }
         }
@@ -580,20 +552,20 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
         while i < slots.len() {
             // Keep the in-band readback snapshot's placement view current:
             // which shard owns the channel and how deep its queue runs.
-            let depth = slots[i].pending.len() as u64 + slots[i].core.backlog() as u64;
-            slots[i].core.set_shard_hint(shard_idx as u64, depth);
-            work |= slots[i].pass(now, me);
-            if slots[i].core.is_fenced() {
+            let depth = slots[i].depth();
+            slots[i].slot.core.set_shard_hint(shard_idx as u64, depth);
+            work |= slots[i].pass(now);
+            if slots[i].slot.core.is_fenced() {
                 // A newer epoch owns this channel: retire it exactly like
                 // an agent exiting, never to touch the fabric again.
                 let slot = slots.swap_remove(i);
                 retire(&shared, me, slot);
-                publish_channels(me, cfg, slots.len());
+                publish_channels(me, slots.len());
                 work = true;
                 continue;
             }
-            inflight |= !slots[i].pending.is_empty();
-            backlog += slots[i].pending.len() as u64 + slots[i].core.backlog() as u64;
+            inflight |= slots[i].slot.in_flight() > 0;
+            backlog += slots[i].depth();
             next_deadline = Some(match next_deadline {
                 Some(d) => d.min(slots[i].next_probe_at),
                 None => slots[i].next_probe_at,
@@ -607,7 +579,7 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
 
         if now >= next_rebalance {
             rebalance(&shared, shard_idx, &mut slots);
-            publish_channels(me, cfg, slots.len());
+            publish_channels(me, slots.len());
             next_rebalance = now + cfg.rebalance_interval;
         }
         if now >= next_steal {
@@ -620,7 +592,7 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
             continue;
         }
         idle_streak = idle_streak.saturating_add(1);
-        if idle_streak <= cfg.spin_limit {
+        if idle_streak <= SPIN_LIMIT {
             me.counters.spins.fetch_add(1, Ordering::Relaxed);
             std::hint::spin_loop();
         } else if idle_streak <= park_threshold || inflight {
@@ -658,12 +630,13 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
 }
 
 fn retire(shared: &GroupShared, me: &ShardShared, slot: ChannelSlot) {
-    if slot.core.is_fenced() {
+    let core = &slot.slot.core;
+    if core.is_fenced() {
         me.counters.retired.fetch_add(1, Ordering::Relaxed);
     }
     shared.finished.lock().unwrap().push(FinishedChannel {
-        channel_id: slot.core.config().channel_id,
-        stats: slot.core.stats,
+        channel_id: core.config().channel_id,
+        stats: core.stats,
     });
 }
 
@@ -716,7 +689,7 @@ fn rebalance(shared: &GroupShared, shard_idx: usize, slots: &mut Vec<ChannelSlot
     let me = &shared.shards[shard_idx];
     let mut my_load = 0u64;
     for slot in slots.iter_mut() {
-        let executed = slot.core.stats.reads_executed + slot.core.stats.writes_executed;
+        let executed = slot.executed();
         slot.interval_ops = executed - slot.last_executed;
         slot.last_executed = executed;
         my_load += slot.interval_ops;

@@ -9,7 +9,9 @@
 //!
 //! The protocol logic is substrate-independent and lives in [`core`] as a
 //! sans-IO state machine ([`core::EngineCore`]) that emits [`core::FabricOp`]
-//! commands. Three drivers embed it:
+//! commands. One driver turns those commands into verbs and completions
+//! back into core calls — the crate-private `slot::Slot`, over either
+//! fabric — and three shells run it:
 //!
 //! * [`sim::EngineNode`] — a `simnet` node, used by every performance
 //!   experiment (both engine variants; they differ in configuration:
@@ -17,6 +19,8 @@
 //!   P4 — see [`core::EngineConfig`]).
 //! * [`spot::SpotAgent`] — a real OS thread over the emulated RDMA fabric;
 //!   this is the runnable engine the examples and integration tests use.
+//! * [`group::EngineGroup`] — worker threads each sweeping a shard of
+//!   channels over the emulated fabric.
 //! * [`p4`] — the Cowbird-P4 program shape on the `p4rt` pipeline: the
 //!   12-stage spec whose resource fold regenerates Table 5, plus the
 //!   recycling rules (§5.2) expressed as tests over `rdma::wire`.
@@ -26,6 +30,7 @@ pub mod core;
 pub mod group;
 pub mod p4;
 pub mod sim;
+mod slot;
 pub mod spot;
 
 pub use crate::core::{EngineConfig, EngineCore, EngineStats, EngineVariant, FabricOp};

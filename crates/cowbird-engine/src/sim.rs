@@ -2,27 +2,25 @@
 //! nodes.
 //!
 //! [`EngineNode`] hosts any number of Cowbird instances (paper §5.4) with
-//! round-robin probe multiplexing, translating [`FabricOp`] commands into
-//! RDMA work requests on two queue pairs per instance (one toward the
-//! compute node, one toward the pool). Probe packets ride at the lowest
-//! priority (7), everything else at a configurable RDMA priority — the knobs
-//! the Fig. 14 contention experiment turns.
+//! round-robin probe multiplexing: one engine driver (`slot::Slot`) per
+//! instance, posting on two queue pairs toward the compute node and one
+//! toward the pool. Probe packets ride at the lowest priority (7),
+//! everything else at a configurable RDMA priority — the knobs the Fig. 14
+//! contention experiment turns.
 //!
 //! [`PoolNode`] is the memory pool: registered regions plus a NIC. It never
 //! spends host CPU on Cowbird traffic — every operation against it is
 //! one-sided.
 
-use simnet::fasthash::FastHashMap;
-
-use rdma::buf::PoolBuf;
 use rdma::mem::{Region, Rkey};
 use rdma::qp::{QpConfig, QpNum};
 use rdma::sim::SimNic;
-use rdma::verbs::{Completion, WorkRequest, WrKind, WrOp};
+use rdma::verbs::Completion;
 use simnet::sim::{Ctx, Node, NodeId, Packet};
 use simnet::time::Duration;
 
-use crate::core::{EngineConfig, EngineCore, FabricOp};
+use crate::core::{EngineConfig, EngineCore};
+use crate::slot::{FabricPort, SimPort, Slot};
 
 /// Timer tags.
 const TAG_NIC_TICK: u64 = u64::MAX;
@@ -30,87 +28,33 @@ const TAG_NIC_TICK: u64 = u64::MAX;
 const TAG_ACTIVATE_BASE: u64 = 1 << 32;
 // Probe timers use the instance index directly.
 
-/// One Cowbird instance hosted on the engine.
-struct Instance {
-    core: EngineCore,
-    /// Local QPN toward the compute node (data path).
-    compute_qpn: QpNum,
-    /// Local QPN toward the compute node reserved for Probe reads.
-    ///
-    /// Probes ride at the lowest priority (paper §5.2) while data packets
-    /// ride high; mixing them in one PSN stream would let the strict-
-    /// priority fabric reorder the stream and trip Go-Back-N permanently,
-    /// so probes get their own queue pair — as the switch's dedicated
-    /// packet-generator QP context does on real hardware.
-    probe_qpn: QpNum,
-    /// Local QPN toward the memory pool.
-    pool_qpn: QpNum,
-    /// rkey of the channel region on the compute node's NIC.
-    channel_rkey: Rkey,
-    /// A dormant standby neither probes nor serves; it flips active after
-    /// adopting the channel from the predecessor's red block.
-    active: bool,
-    /// When a standby wakes up and begins the takeover (from sim start).
-    activate_after: Option<Duration>,
-}
-
-/// A standby's in-flight election bid: the CAS on the channel's engine-epoch
-/// word, posted after the red-block read. `bid` is the predecessor epoch the
-/// red snapshot showed; `red` is that snapshot, adopted iff the CAS wins.
-struct PendingElection {
-    instance: usize,
-    bid: u64,
-    red: PoolBuf,
-}
-
-/// An owned read in flight; its landed buffer is handed over on completion.
-struct PendingRead {
-    instance: usize,
-    tag: u64,
-    /// This read fetched the predecessor's red block for a standby
-    /// takeover; its completion feeds `adopt_from_red`, not `on_data`.
-    adopt: bool,
-    /// Coalesced read: `(len, tag)` per merged request, each delivered to
-    /// the core in order as its slice of the one landed buffer. Empty for
-    /// plain single reads (which use `tag`).
-    parts: Vec<(u32, u64)>,
-}
-
-impl PendingRead {
-    /// A plain read whose landed buffer goes to the core under `tag`.
-    fn plain(instance: usize, tag: u64) -> PendingRead {
-        PendingRead {
-            instance,
-            tag,
-            adopt: false,
-            parts: Vec::new(),
-        }
-    }
-}
+/// An instance's WR ids carry its index in the bits from here up, so one CQ
+/// poll routes every completion to its slot.
+const WR_INSTANCE_SHIFT: u32 = 48;
 
 /// The offload engine as a simulation node (works for both variants; the
 /// [`EngineConfig`] decides batching and the consistency gate).
+///
+/// Each instance's probes travel on a queue pair of their own toward the
+/// compute node: probes ride at the lowest priority (paper §5.2) while
+/// data packets ride high, and mixing them in one PSN stream would let the
+/// strict-priority fabric reorder the stream and trip Go-Back-N
+/// permanently — as the switch's dedicated packet-generator QP context
+/// avoids on real hardware.
 pub struct EngineNode {
     nic: SimNic,
-    instances: Vec<Instance>,
-    pending: FastHashMap<u64, PendingRead>,
-    /// In-flight election CAS bids: wr_id -> bid.
-    pending_elections: FastHashMap<u64, PendingElection>,
-    /// Tagged writes (red-block publishes) whose delivery acknowledgment
-    /// the core wants back: wr_id -> (instance, tag).
-    pending_writes: FastHashMap<u64, (usize, u64)>,
-    next_wr: u64,
+    slots: Vec<Slot>,
+    /// When each standby wakes up and begins the takeover (from sim
+    /// start); `None` for an instance that serves from the start.
+    activate_after: Vec<Option<Duration>>,
     /// Priority of probe packets (lowest by default, per §5.2).
     pub probe_prio: u8,
     /// Priority of data-path RDMA packets.
     pub data_prio: u8,
     nic_tick: Duration,
-    /// Completion-batch scratch for [`SimNic::poll_into`], reused across
-    /// reaps (zero-alloc completion path).
+    /// Completion-batch scratch, reused across reaps (zero-alloc
+    /// completion path).
     cq_scratch: Vec<Completion>,
-    /// Staged-op scratch for [`EngineCore::on_data_into`], reused across
-    /// completions (zero-alloc op emission).
-    ops_scratch: Vec<FabricOp>,
 }
 
 impl Default for EngineNode {
@@ -123,16 +67,12 @@ impl EngineNode {
     pub fn new() -> EngineNode {
         EngineNode {
             nic: SimNic::new(),
-            instances: Vec::new(),
-            pending: FastHashMap::default(),
-            pending_elections: FastHashMap::default(),
-            pending_writes: FastHashMap::default(),
-            next_wr: 1,
+            slots: Vec::new(),
+            activate_after: Vec::new(),
             probe_prio: 7,
             data_prio: 1,
             nic_tick: Duration::from_micros(50),
             cq_scratch: Vec::new(),
-            ops_scratch: Vec::new(),
         }
     }
 
@@ -153,10 +93,11 @@ impl EngineNode {
     }
 
     /// Register a standby instance: dormant until `activate_after` (from
-    /// sim start), then it reads the predecessor's red block, adopts the
-    /// channel ([`EngineCore::adopt_from_red`]), publishes the bumped epoch,
-    /// and starts probing. Failover experiments schedule the activation
-    /// just after the fault script kills the primary.
+    /// sim start), then it reads the predecessor's red block, wins the CAS
+    /// election on the engine-epoch word, adopts the channel
+    /// ([`EngineCore::adopt_from_red`]), publishes the bumped epoch, and
+    /// starts probing. Failover experiments schedule the activation just
+    /// after the fault script kills the primary.
     pub fn add_standby_instance(
         &mut self,
         cfg: EngineConfig,
@@ -182,21 +123,19 @@ impl EngineNode {
         self.nic.create_qp(QpConfig::new(lc, rc), compute);
         self.nic.create_qp(QpConfig::new(lp, rp), pool);
         self.nic.create_qp(QpConfig::new(lprobe, rprobe), compute);
-        self.instances.push(Instance {
-            core: EngineCore::new(cfg),
-            compute_qpn: lc,
-            probe_qpn: lprobe,
-            pool_qpn: lp,
-            channel_rkey,
-            active: activate_after.is_none(),
-            activate_after,
-        });
-        self.instances.len() - 1
+        let index = self.slots.len();
+        let wr_base = (index as u64) << WR_INSTANCE_SHIFT;
+        let core = EngineCore::new(cfg);
+        let standby = activate_after.is_some();
+        let slot = Slot::new(core, [lc, lprobe, lp], channel_rkey, wr_base, standby);
+        self.slots.push(slot);
+        self.activate_after.push(activate_after);
+        index
     }
 
     /// Inspection hook for experiments.
     pub fn core(&self, instance: usize) -> &EngineCore {
-        &self.instances[instance].core
+        &self.slots[instance].core
     }
 
     /// Total wire traffic the engine has injected (bytes of probes),
@@ -210,343 +149,60 @@ impl EngineNode {
         &self.nic
     }
 
-    /// Post one WR and transmit its packets. Post errors are fatal for the
-    /// engine (`what` names the failing caller).
-    fn post_and_send(&mut self, qpn: QpNum, wr: WorkRequest, prio: u8, ctx: &mut Ctx, what: &str) {
-        if let Err(e) = self.nic.post_and_send(qpn, wr, prio, ctx) {
-            panic!("engine {what} failed: {e}");
-        }
-    }
-
-    fn exec_ops(&mut self, instance: usize, ops: &mut Vec<FabricOp>, ctx: &mut Ctx) {
-        for op in ops.drain(..) {
-            match op {
-                FabricOp::ReadCompute { offset, len, tag } => {
-                    let inst = &self.instances[instance];
-                    // The green-block probe is the only 24-byte compute read;
-                    // it travels on the dedicated low-priority probe QP.
-                    let probe_like = offset == cowbird::layout::GREEN_OFFSET
-                        && len == cowbird::layout::GREEN_LEN as u32;
-                    let (qpn, prio) = if probe_like {
-                        (inst.probe_qpn, self.probe_prio)
-                    } else {
-                        (inst.compute_qpn, self.data_prio)
-                    };
-                    let (rkey, pending) = (inst.channel_rkey, PendingRead::plain(instance, tag));
-                    self.post_read(pending, qpn, rkey, offset, len, prio, ctx);
-                }
-                FabricOp::ReadPool {
-                    rkey,
-                    addr,
-                    len,
-                    tag,
-                } => {
-                    let (qpn, prio) = (self.instances[instance].pool_qpn, self.data_prio);
-                    let pending = PendingRead::plain(instance, tag);
-                    self.post_read(pending, qpn, rkey, addr, len, prio, ctx);
-                }
-                FabricOp::WriteCompute { offset, data, tag } => {
-                    let inst = &self.instances[instance];
-                    // The fire-and-forget telemetry readback write is
-                    // background traffic like the probe: it rides the
-                    // dedicated low-priority probe QP, so an idle engine
-                    // never touches the data priority classes.
-                    let telem = tag == 0 && offset == inst.core.layout().telem_offset();
-                    let (qpn, prio) = if telem {
-                        (inst.probe_qpn, self.probe_prio)
-                    } else {
-                        (inst.compute_qpn, self.data_prio)
-                    };
-                    let rkey = inst.channel_rkey;
-                    self.post_write(instance, qpn, rkey, offset, data, tag, prio, ctx);
-                }
-                FabricOp::WritePool { rkey, addr, data } => {
-                    let qpn = self.instances[instance].pool_qpn;
-                    let prio = self.data_prio;
-                    self.post_write(instance, qpn, rkey, addr, data, 0, prio, ctx);
-                }
-                FabricOp::ReadPoolSg { rkey, addr, parts } => {
-                    // One owned read for the contiguous run; each part is a
-                    // slice of the landed buffer.
-                    let (qpn, prio) = (self.instances[instance].pool_qpn, self.data_prio);
-                    let len = parts.iter().map(|(l, _)| l).sum();
-                    let pending = PendingRead {
-                        parts,
-                        ..PendingRead::plain(instance, 0)
-                    };
-                    self.post_read(pending, qpn, rkey, addr, len, prio, ctx);
-                }
-                FabricOp::WritePoolSg {
-                    rkey,
-                    addr,
-                    segments,
-                } => {
-                    let qpn = self.instances[instance].pool_qpn;
-                    let wr_id = self.next_wr;
-                    self.next_wr += 1;
-                    let wr = WorkRequest {
-                        wr_id,
-                        op: WrOp::WriteSg {
-                            remote_addr: addr,
-                            remote_rkey: rkey,
-                            segments,
-                        },
-                    };
-                    let prio = self.data_prio;
-                    self.post_and_send(qpn, wr, prio, ctx, "post_write_sg");
-                }
-            }
-        }
-    }
-
-    /// Post an owned read whose landed buffer `pending` routes.
-    #[allow(clippy::too_many_arguments)]
-    fn post_read(
-        &mut self,
-        pending: PendingRead,
-        qpn: QpNum,
-        rkey: Rkey,
-        addr: u64,
-        len: u32,
-        prio: u8,
-        ctx: &mut Ctx,
-    ) {
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        self.pending.insert(wr_id, pending);
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::ReadOwned {
-                remote_addr: addr,
-                remote_rkey: rkey,
-                len,
-            },
-        };
-        self.post_and_send(qpn, wr, prio, ctx, "post_read");
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn post_write(
-        &mut self,
-        instance: usize,
-        qpn: QpNum,
-        rkey: Rkey,
-        addr: u64,
-        data: rdma::buf::PoolBuf,
-        tag: u64,
-        prio: u8,
-        ctx: &mut Ctx,
-    ) {
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        if tag != 0 {
-            self.pending_writes.insert(wr_id, (instance, tag));
-        }
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::WriteInline {
-                remote_addr: addr,
-                remote_rkey: rkey,
-                data,
-            },
-        };
-        self.post_and_send(qpn, wr, prio, ctx, "post_write");
-    }
-
-    /// Kick off a standby takeover: read the predecessor's red block from
-    /// the channel region.
-    fn post_adopt_read(&mut self, instance: usize, ctx: &mut Ctx) {
-        let pending = PendingRead {
-            adopt: true,
-            ..PendingRead::plain(instance, 0)
-        };
-        let inst = &self.instances[instance];
-        let (qpn, rkey) = (inst.compute_qpn, inst.channel_rkey);
-        let (red, len) = (cowbird::layout::RED_OFFSET, cowbird::layout::RED_LEN as u32);
-        self.post_read(pending, qpn, rkey, red, len, self.data_prio, ctx);
-    }
-
-    /// Second leg of the takeover: bid for leadership by CASing the
-    /// channel's engine-epoch word from the predecessor's epoch to the
-    /// successor epoch. With several standbys racing, exactly one CAS
-    /// observes the predecessor value — the rest see the winner's epoch in
-    /// the atomic completion and stand down.
-    fn post_election_cas(&mut self, instance: usize, bid: u64, red: PoolBuf, ctx: &mut Ctx) {
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        self.pending_elections
-            .insert(wr_id, PendingElection { instance, bid, red });
-        let inst = &self.instances[instance];
-        let (qpn, rkey) = (inst.compute_qpn, inst.channel_rkey);
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::CompareSwap {
-                remote_addr: cowbird::layout::RED_ENGINE_EPOCH,
-                remote_rkey: rkey,
-                compare: bid,
-                swap: bid + 1,
-            },
-        };
-        let prio = self.data_prio;
-        self.post_and_send(qpn, wr, prio, ctx, "election CAS post");
-    }
-
-    /// The election CAS completed: adopt on a win, stand down on a loss.
-    fn settle_election(&mut self, c: &rdma::verbs::Completion, ctx: &mut Ctx) {
-        let Some(e) = self.pending_elections.remove(&c.wr_id) else {
-            return;
-        };
-        if !c.is_ok() {
-            // The bid itself was lost on the wire: restart the takeover.
-            self.post_adopt_read(e.instance, ctx);
-            return;
-        }
-        let orig = c
-            .atomic_orig
-            .expect("atomic completion carries the original value");
-        let inst = &mut self.instances[e.instance];
-        if orig != e.bid {
-            // Another standby's epoch landed first.
-            inst.core.note_election_lost(e.bid, orig);
-            return;
-        }
-        if inst.core.adopt_from_red(&e.red).is_some() {
-            inst.core.note_election_won(e.bid, e.bid + 1);
-            inst.active = true;
-            // Publish the bumped epoch, then start probing.
-            let mut ops = inst.core.red_update();
-            let d = inst.core.probe_interval();
-            self.exec_ops(e.instance, &mut ops, ctx);
-            ctx.set_timer(d, e.instance as u64);
-        }
-    }
-
     /// Push virtual time into every instance's telemetry recorder and cycle
     /// profiler so events and attribution scopes carry simulated
     /// timestamps. One relaxed store per enabled sink; a no-op for disabled
     /// ones.
     fn stamp_now(&self, ctx: &Ctx) {
         let ns = ctx.now().nanos();
-        for inst in &self.instances {
-            inst.core.recorder().set_now_ns(ns);
-            inst.core.profiler().set_now_ns(ns);
+        for slot in &self.slots {
+            slot.core.recorder().set_now_ns(ns);
+            slot.core.profiler().set_now_ns(ns);
         }
     }
 
+    /// Reap the CQ, routing each completion to its instance's slot by the
+    /// index in its WR id. Each read completion carries its own landed
+    /// buffer; the steady-state reap path allocates nothing.
     fn drain_completions(&mut self, ctx: &mut Ctx) {
-        // Completion batches land in node-owned scratch (taken for the
-        // duration — the handlers below need `&mut self`): the steady-state
-        // reap path allocates nothing. Each read completion carries its own
-        // landed buffer.
         let mut comps = std::mem::take(&mut self.cq_scratch);
-        let mut ops = std::mem::take(&mut self.ops_scratch);
+        let mut port = SimPort {
+            nic: &mut self.nic,
+            ctx,
+            probe_prio: self.probe_prio,
+            data_prio: self.data_prio,
+        };
         loop {
             comps.clear();
-            if self.nic.poll_into(64, &mut comps) == 0 {
+            port.poll_into(&mut comps);
+            if comps.is_empty() {
                 break;
             }
             for c in comps.drain(..) {
-                if c.kind == WrKind::Write {
-                    let Some((instance, tag)) = self.pending_writes.remove(&c.wr_id) else {
-                        continue;
-                    };
-                    if c.is_ok() {
-                        // Red-block delivery acknowledgment: feed it back so
-                        // the core's write-after-read barrier can advance.
-                        ops.clear();
-                        self.instances[instance]
-                            .core
-                            .on_data_into(tag, &[], &mut ops);
-                        self.exec_ops(instance, &mut ops, ctx);
-                    } else {
-                        // The tracked publish was lost: Go-Back-N restart.
-                        self.instances[instance].core.reset_to_committed();
-                    }
-                    continue;
-                }
-                if c.kind == WrKind::Atomic {
-                    self.settle_election(&c, ctx);
-                    continue;
-                }
-                if c.kind != WrKind::Read {
-                    continue;
-                }
-                let Some(p) = self.pending.remove(&c.wr_id) else {
-                    continue;
-                };
-                if !c.is_ok() {
-                    if p.adopt {
-                        // The takeover read itself was lost: retry it.
-                        self.post_adopt_read(p.instance, ctx);
-                    } else {
-                        // Treat like a loss: Go-Back-N restart.
-                        self.instances[p.instance].core.reset_to_committed();
-                    }
-                    continue;
-                }
-                if p.adopt {
-                    // First leg of the takeover done: the red snapshot is
-                    // in. Bid for leadership iff the snapshot still shows
-                    // the predecessor we were configured against — a newer
-                    // epoch means a peer standby already won the race.
-                    let Some(red) = cowbird::layout::RedBlock::decode(&c.data) else {
-                        continue;
-                    };
-                    let bid = red.engine_epoch;
-                    let own = self.instances[p.instance].core.epoch();
-                    if bid != own {
-                        self.instances[p.instance].core.note_election_lost(own, bid);
-                        continue;
-                    }
-                    // The CAS keeps the snapshot until it settles.
-                    self.post_election_cas(p.instance, bid, c.data, ctx);
-                    continue;
-                }
-                // Attribution: dispatching fetched data is the Execute
-                // phase (one CQE, one visit, however many parts). Virtual
-                // time does not advance inside a handler, so on the
-                // simulator the scope counts the visit (ns come from
-                // cost-model charges where an experiment supplies them).
-                let prof = self.instances[p.instance].core.profiler().clone();
-                let _exec_scope = prof.scope(telemetry::Phase::Execute);
-                if p.parts.is_empty() {
-                    ops.clear();
-                    self.instances[p.instance]
-                        .core
-                        .on_landed_into(p.tag, c.data, &mut ops);
-                    self.exec_ops(p.instance, &mut ops, ctx);
-                    continue;
-                }
-                // A coalesced read: every part, in order, is its slice of
-                // the one landed buffer.
-                let mut at = 0;
-                for &(len, tag) in &p.parts {
-                    let part = &c.data[at..at + len as usize];
-                    at += len as usize;
-                    ops.clear();
-                    self.instances[p.instance]
-                        .core
-                        .on_data_into(tag, part, &mut ops);
-                    self.exec_ops(p.instance, &mut ops, ctx);
+                let i = (c.wr_id >> WR_INSTANCE_SHIFT) as usize;
+                let slot = &mut self.slots[i];
+                if slot.complete(&mut port, c) {
+                    // A standby won its election: start probing.
+                    port.ctx.set_timer(slot.core.probe_interval(), i as u64);
                 }
             }
         }
         self.cq_scratch = comps;
-        self.ops_scratch = ops;
     }
 }
 
 impl Node for EngineNode {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        for i in 0..self.instances.len() {
-            if let Some(after) = self.instances[i].activate_after {
+        let n = self.slots.len() as u64;
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(after) = self.activate_after[i] {
                 // Standby: wake up later and begin the takeover.
                 ctx.set_timer(after, TAG_ACTIVATE_BASE + i as u64);
                 continue;
             }
             // Stagger probe start per instance (round-robin TDM, §5.4).
-            let d = self.instances[i].core.probe_interval();
-            ctx.set_timer(d * (i as u64 + 1) / (self.instances.len() as u64), i as u64);
+            let d = slot.core.probe_interval();
+            ctx.set_timer(d * (i as u64 + 1) / n, i as u64);
         }
         ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
     }
@@ -564,24 +220,29 @@ impl Node for EngineNode {
             ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
             return;
         }
-        if tag >= TAG_ACTIVATE_BASE {
-            let i = (tag - TAG_ACTIVATE_BASE) as usize;
-            if i < self.instances.len() && !self.instances[i].active {
-                self.post_adopt_read(i, ctx);
-            }
+        let (i, activate) = match tag.checked_sub(TAG_ACTIVATE_BASE) {
+            Some(i) => (i as usize, true),
+            None => (tag as usize, false),
+        };
+        let Some(slot) = self.slots.get_mut(i) else {
             return;
-        }
-        let i = tag as usize;
-        if i < self.instances.len() && self.instances[i].active {
-            let prof = self.instances[i].core.profiler().clone();
-            let _probe_scope = prof.scope(telemetry::Phase::Probe);
-            let mut ops = std::mem::take(&mut self.ops_scratch);
-            ops.clear();
-            self.instances[i].core.on_probe_due_into(&mut ops);
-            self.exec_ops(i, &mut ops, ctx);
-            self.ops_scratch = ops;
-            let d = self.instances[i].core.next_probe_interval();
-            ctx.set_timer(d, tag);
+        };
+        let mut port = SimPort {
+            nic: &mut self.nic,
+            ctx,
+            probe_prio: self.probe_prio,
+            data_prio: self.data_prio,
+        };
+        match (activate, slot.is_active()) {
+            (true, false) => slot.begin_takeover(&mut port),
+            (false, true) => {
+                slot.probe(&mut port);
+                let d = slot.core.next_probe_interval();
+                port.ctx.set_timer(d, tag);
+            }
+            // A standby woken after it began serving, or the probe timer
+            // of an instance that does not serve.
+            _ => {}
         }
     }
 }
@@ -606,7 +267,8 @@ impl PoolNode {
         }
     }
 
-    /// Register pool memory; returns its rkey.
+    /// Register memory (pool memory, or a channel region); returns its
+    /// rkey.
     pub fn register(&mut self, region: Region) -> Rkey {
         self.nic.register(region)
     }
@@ -685,14 +347,15 @@ mod tests {
     use cowbird::channel::Channel;
     use cowbird::layout::ChannelLayout;
     use cowbird::region::{RegionMap, RemoteRegion};
-    use simnet::link::LinkParams;
+    use simnet::link::{LinkId, LinkParams};
     use simnet::sim::Sim;
     use simnet::time::Duration;
 
     /// Full topology: compute NIC <-> engine <-> pool, with the client
     /// channel driven from outside the simulator (its ops are pure memory
-    /// writes, so interleaving with `run_for` is sound).
-    fn build() -> (Sim, Channel, NodeId, Region) {
+    /// writes, so interleaving with `run_for` is sound). Also returns the
+    /// engine -> compute link.
+    fn build() -> (Sim, Channel, NodeId, Region, LinkId) {
         let mut sim = Sim::new(42);
         let compute_id = NodeId(0);
         let engine_id = NodeId(1);
@@ -733,14 +396,14 @@ mod tests {
         sim.add_node(Box::new(compute));
         sim.add_node(Box::new(engine));
         sim.add_node(Box::new(pool));
-        sim.connect(compute_id, engine_id, LinkParams::rack_100g());
+        let (_, to_compute) = sim.connect(compute_id, engine_id, LinkParams::rack_100g());
         sim.connect(engine_id, pool_id, LinkParams::rack_100g());
-        (sim, ch, engine_id, pool_mem)
+        (sim, ch, engine_id, pool_mem, to_compute)
     }
 
     #[test]
     fn end_to_end_read_over_simulated_fabric() {
-        let (mut sim, mut ch, _engine, pool_mem) = build();
+        let (mut sim, mut ch, _engine, pool_mem, _) = build();
         pool_mem.write(500, b"from the pool").unwrap();
         let h = ch.async_read(1, 500, 13).unwrap();
         sim.run_for(Duration::from_millis(1));
@@ -750,7 +413,7 @@ mod tests {
 
     #[test]
     fn end_to_end_write_over_simulated_fabric() {
-        let (mut sim, mut ch, _engine, pool_mem) = build();
+        let (mut sim, mut ch, _engine, pool_mem, _) = build();
         let id = ch.async_write(1, 4096, b"persisted").unwrap();
         sim.run_for(Duration::from_millis(1));
         assert!(ch.is_complete(id));
@@ -759,7 +422,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_all_complete() {
-        let (mut sim, mut ch, engine_id, pool_mem) = build();
+        let (mut sim, mut ch, engine_id, pool_mem, _) = build();
         for i in 0..64u64 {
             pool_mem.write(i * 64, &[i as u8; 64]).unwrap();
         }
@@ -780,17 +443,23 @@ mod tests {
 
     #[test]
     fn probe_traffic_rides_lowest_priority() {
-        let (mut sim, mut ch, _engine, _pool) = build();
-        // Idle channel: only probes flow. Check link priority accounting.
-        let _ = &mut ch;
+        let (mut sim, mut ch, engine_id, pool_mem, to_compute) = build();
+        let engine: &EngineNode = sim.node_ref(engine_id);
+        let (probe, data) = (engine.probe_prio as usize, engine.data_prio as usize);
+        // Idle channel: the engine sends the compute node nothing but
+        // probes, all of them in the lowest class.
         sim.run_for(Duration::from_millis(1));
-        // engine(1) -> compute(0) is the second link added... easier: total
-        // across links; probes are 24B reads at prio 7, responses prio 1.
-        let stats = sim.link_stats(simnet::link::LinkId(2)); // compute->engine? order: connect(compute,engine) => links 0,1; connect(engine,pool) => 2,3
-        let _ = stats;
-        // The strongest check: the engine sent hundreds of probes.
-        // (~500 probes in 1 ms at 2 us.)
-        // Covered via EngineNode stats in other tests; here ensure sim ran.
-        assert!(sim.events_processed() > 100);
+        let idle = sim.link_stats(to_compute).clone();
+        assert_eq!(probe, 7);
+        assert!(idle.busy_by_prio[probe] > Duration::ZERO, "probes flowed");
+        assert_eq!(idle.busy_total(), idle.busy_by_prio[probe]);
+        assert_eq!(idle.busy_by_prio[data], Duration::ZERO);
+        // One read puts its metadata fetch and response write on the data
+        // class.
+        pool_mem.write(64, b"data").unwrap();
+        let h = ch.async_read(1, 64, 4).unwrap();
+        sim.run_for(Duration::from_millis(1));
+        assert_eq!(ch.take_response(&h).unwrap(), b"data");
+        assert!(sim.link_stats(to_compute).busy_by_prio[data] > Duration::ZERO);
     }
 }

@@ -3,13 +3,14 @@
 //! "These compute resources can come from many different sources, e.g., the
 //! ARM cores of a SmartNIC, the management CPU of a harvested-memory VM, or
 //! a separate spot instance dedicated to data-transfer offload." Here it is
-//! a real OS thread — [`SpotAgent`] — driving the same [`EngineCore`] state
-//! machine over the emulated RDMA fabric ([`rdma::emu`]). This is the
-//! engine the runnable examples use: the compute node's threads never post a
-//! verb; the agent thread does all of it, off the compute node.
+//! a real OS thread — [`SpotAgent`] — running the same engine driver as the
+//! simulator's `EngineNode` over the emulated RDMA fabric ([`rdma::emu`]),
+//! one slot's probe-and-poll pass after another. This is the engine the
+//! runnable examples use: the compute node's threads never post a verb; the
+//! agent thread does all of it, off the compute node.
 //!
-//! The agent is event-driven: it probes on a timer, executes transfers
-//! through host-level RDMA work requests, and batches read responses
+//! The agent probes at the maximum rate, executes transfers through
+//! host-level RDMA work requests, and batches read responses
 //! (`BATCH_SIZE`) before writing them back "to reduce the load on the
 //! compute node and its network interface card" and its own verb count.
 //!
@@ -25,33 +26,31 @@
 //!   ([`cowbird::error::WaitError::EngineStalled`]), fences the epoch, and
 //!   attaches a standby.
 //! * [`SpotAgent::spawn_standby`] starts an agent that first reads the
-//!   predecessor's red block from the channel region, adopts its committed
-//!   state ([`EngineCore::adopt_from_red`]), publishes the bumped epoch, and
-//!   resumes the normal loop.
+//!   predecessor's red block from the channel region, bids for leadership
+//!   with a compare-and-swap on the channel's engine-epoch word, and on a
+//!   win adopts the committed state ([`EngineCore::adopt_from_red`]),
+//!   publishes the bumped epoch, and resumes the normal loop. Of several
+//!   racing standbys exactly one wins; the rest exit without serving.
 //! * A zombie predecessor that was merely frozen (not dead) fences itself
 //!   the first time a probe shows the client's fence word above its epoch,
 //!   and exits with [`EngineStats::fenced`] set.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use cowbird::layout::{RED_LEN, RED_OFFSET};
-use rdma::buf::PoolBuf;
 use rdma::emu::EmuNic;
 use rdma::mem::Rkey;
 use rdma::qp::QpNum;
-use rdma::verbs::{WorkRequest, WrKind, WrOp};
-use telemetry::profile::Phase;
 use telemetry::{Component, EventKind};
 
-use crate::core::{EngineConfig, EngineCore, EngineStats, FabricOp};
+use crate::core::{EngineConfig, EngineCore, EngineStats};
+use crate::slot::{EmuPort, Slot};
 
 /// Lifecycle signals shared between a [`SpotAgent`] and its thread.
 #[derive(Default)]
 struct Flags {
-    /// Graceful stop: exit at the next round boundary.
+    /// Graceful stop: exit once nothing is in flight.
     stop: AtomicBool,
     /// Abrupt revocation: exit immediately, abandoning in-flight work.
     kill: AtomicBool,
@@ -125,7 +124,7 @@ impl SpotAgent {
         };
         let handle = std::thread::Builder::new()
             .name(name)
-            .spawn(move || agent_loop(wiring, cfg, thread_flags, adopt))
+            .spawn(move || run(wiring, cfg, thread_flags, adopt))
             .expect("spawn spot agent");
         SpotAgent {
             flags,
@@ -133,8 +132,8 @@ impl SpotAgent {
         }
     }
 
-    /// Stop the agent at the next round boundary and return its final
-    /// statistics.
+    /// Stop the agent once it has nothing in flight (or its fabric has gone
+    /// quiet for good) and return its final statistics.
     pub fn stop(mut self) -> EngineStats {
         self.flags.stop.store(true, Ordering::Release);
         self.join_inner()
@@ -155,28 +154,29 @@ impl SpotAgent {
         }
     }
 
-    /// Freeze (`true`) or thaw (`false`) the agent between rounds. A frozen
-    /// agent is the deterministic model of a zombie: still holding its QPs,
-    /// making no progress, and due for an epoch fence when it wakes.
+    /// Freeze (`true`) or thaw (`false`) the agent the next time it has
+    /// nothing in flight. A frozen agent is the deterministic model of a
+    /// zombie: still holding its QPs, making no progress, and due for an
+    /// epoch fence when it wakes.
     pub fn set_paused(&self, paused: bool) {
         self.flags.pause.store(paused, Ordering::Release);
     }
 
     /// Is the agent currently parked in the pause loop? (Pausing takes
-    /// effect at the next round boundary; poll this to know the freeze has
+    /// effect once nothing is in flight; poll this to know the freeze has
     /// landed before acting on it.)
     pub fn is_parked(&self) -> bool {
         self.flags.parked.load(Ordering::Acquire)
     }
 
     /// Has the agent thread exited (drained after a preemption notice,
-    /// fenced, or stopped)?
+    /// fenced, outvoted in a standby election, or stopped)?
     pub fn is_finished(&self) -> bool {
         self.handle.as_ref().is_none_or(|h| h.is_finished())
     }
 
-    /// Wait for the agent to exit on its own (after a preemption notice or
-    /// an epoch fence) and return its final statistics.
+    /// Wait for the agent to exit on its own (after a preemption notice, an
+    /// epoch fence or a lost election) and return its final statistics.
     pub fn join(mut self) -> EngineStats {
         self.join_inner()
     }
@@ -200,271 +200,97 @@ impl Drop for SpotAgent {
     }
 }
 
-/// Where a posted WR's completion goes. A single read's tag takes the
-/// landed buffer whole, and a tagged write's tag its empty acknowledgment; a
-/// coalesced read's `(len, tag)` parts take consecutive slices of the one
-/// landed buffer, in merge order.
-pub(crate) enum Landing {
-    Tag(u64),
-    Parts(Vec<(u32, u64)>),
-}
+/// Passes with nothing to do after which a stop request is honoured even
+/// with WRs still in flight (their fabric is gone).
+const STOP_IDLE_PASSES: u32 = 10_000;
 
-/// Turn the core's ops into work requests on `wiring`'s queue pairs and post
-/// them — one chain per run of same-QP WRs when `chaining` (one doorbell per
-/// destination run). Every WR whose completion the core wants back is
-/// recorded in `pending`.
-pub(crate) fn post_ops(
-    wiring: &SpotWiring,
-    chaining: bool,
-    ops: Vec<FabricOp>,
-    pending: &mut HashMap<u64, Landing>,
-    next_wr: &mut u64,
-) {
-    let read = |remote_addr, remote_rkey, len| WrOp::ReadOwned {
-        remote_addr,
-        remote_rkey,
-        len,
-    };
-    let mut posts: Vec<(QpNum, WorkRequest)> = Vec::with_capacity(ops.len());
-    for op in ops {
-        let (qpn, wr_op, landing) = match op {
-            FabricOp::ReadCompute { offset, len, tag } => (
-                wiring.compute_qpn,
-                read(offset, wiring.channel_rkey, len),
-                Some(Landing::Tag(tag)),
-            ),
-            FabricOp::ReadPool {
-                rkey,
-                addr,
-                len,
-                tag,
-            } => (
-                wiring.pool_qpn,
-                read(addr, rkey, len),
-                Some(Landing::Tag(tag)),
-            ),
-            // One owned read for the whole contiguous remote run.
-            FabricOp::ReadPoolSg { rkey, addr, parts } => (
-                wiring.pool_qpn,
-                read(addr, rkey, parts.iter().map(|(l, _)| l).sum()),
-                Some(Landing::Parts(parts)),
-            ),
-            FabricOp::WriteCompute { offset, data, tag } => (
-                wiring.compute_qpn,
-                WrOp::WriteInline {
-                    remote_addr: offset,
-                    remote_rkey: wiring.channel_rkey,
-                    data,
-                },
-                // Tagged writes (red publishes) want their delivery
-                // acknowledgment fed back.
-                (tag != 0).then_some(Landing::Tag(tag)),
-            ),
-            FabricOp::WritePool { rkey, addr, data } => (
-                wiring.pool_qpn,
-                WrOp::WriteInline {
-                    remote_addr: addr,
-                    remote_rkey: rkey,
-                    data,
-                },
-                None,
-            ),
-            FabricOp::WritePoolSg {
-                rkey,
-                addr,
-                segments,
-            } => (
-                wiring.pool_qpn,
-                WrOp::WriteSg {
-                    remote_addr: addr,
-                    remote_rkey: rkey,
-                    segments,
-                },
-                None,
-            ),
-        };
-        let wr_id = *next_wr;
-        *next_wr += 1;
-        if let Some(landing) = landing {
-            pending.insert(wr_id, landing);
-        }
-        posts.push((qpn, WorkRequest { wr_id, op: wr_op }));
+/// The agent thread: one slot's probe-and-poll pass, over and over.
+///
+/// Once stop, pause or drain is requested the agent stops soliciting work
+/// and lets what is in flight finish; the request lands only while the slot
+/// has nothing in flight. A zombie frozen mid-round would finish the round
+/// on thaw — and could write to the pool after its successor took over —
+/// before a probe showed it the fence.
+fn run(wiring: SpotWiring, cfg: EngineConfig, flags: Arc<Flags>, standby: bool) -> EngineStats {
+    let mut slot = Slot::emu(&wiring, cfg, standby);
+    if standby {
+        let mut port = EmuPort::new(&wiring);
+        slot.begin_takeover(&mut port);
+        port.flush();
     }
-    if chaining {
-        let mut iter = posts.into_iter().peekable();
-        while let Some((qpn, wr)) = iter.next() {
-            let mut chain = vec![wr];
-            while iter.peek().is_some_and(|(q, _)| *q == qpn) {
-                chain.push(iter.next().unwrap().1);
-            }
-            wiring.nic.post_chain(qpn, chain).expect("engine post");
-        }
-    } else {
-        for (qpn, wr) in posts {
-            wiring.nic.post(qpn, wr).expect("engine post");
-        }
-    }
-}
-
-/// Feed one completion's landed buffer back through the core as `landing`
-/// routes it; returns the ops the deliveries emit, in order.
-pub(crate) fn deliver(core: &mut EngineCore, landing: Landing, data: PoolBuf) -> Vec<FabricOp> {
-    let mut ops = Vec::new();
-    match landing {
-        Landing::Tag(tag) => core.on_landed_into(tag, data, &mut ops),
-        Landing::Parts(parts) => {
-            let mut at = 0;
-            for (len, tag) in parts {
-                ops.extend(core.on_data(tag, &data[at..at + len as usize]));
-                at += len as usize;
-            }
-        }
-    }
-    ops
-}
-
-fn agent_loop(
-    wiring: SpotWiring,
-    cfg: EngineConfig,
-    flags: Arc<Flags>,
-    adopt: bool,
-) -> EngineStats {
-    let mut core = EngineCore::new(cfg);
-    // Cycle-attribution handle (cloned so scopes don't borrow the core
-    // across its mutations). Disabled by default: one branch per scope.
-    let prof = core.profiler().clone();
-    let mut pending: HashMap<u64, Landing> = HashMap::new();
-    let mut next_wr: u64 = 1;
-    let chaining = core.config().coalescing();
-
-    // Standby path: adopt the predecessor's committed state from the red
-    // block in the channel region before serving anything.
-    if adopt {
-        let wr_id = next_wr;
-        next_wr += 1;
-        let red_read = WorkRequest {
-            wr_id,
-            op: WrOp::ReadOwned {
-                remote_addr: RED_OFFSET,
-                remote_rkey: wiring.channel_rkey,
-                len: RED_LEN as u32,
-            },
-        };
-        wiring
-            .nic
-            .post(wiring.compute_qpn, red_read)
-            .expect("standby red read");
-        loop {
-            if flags.stop.load(Ordering::Acquire) || flags.kill.load(Ordering::Acquire) {
-                return core.stats;
-            }
-            let completions = wiring.nic.poll(4);
-            if let Some(c) = completions
-                .iter()
-                .find(|c| c.wr_id == wr_id && c.kind == WrKind::Read)
-            {
-                if c.is_ok() {
-                    core.adopt_from_red(&c.data);
-                }
-                break;
-            }
-            std::thread::yield_now();
-        }
-        // Publish the bumped epoch immediately so the client (and any
-        // zombie predecessor, via its own probe of the fence word) observes
-        // the takeover without waiting for request traffic.
-        let ops = core.red_update();
-        post_ops(&wiring, chaining, ops, &mut pending, &mut next_wr);
-    }
-
-    let mut drain_seen = false;
-    'outer: while !flags.stop.load(Ordering::Acquire) && !flags.kill.load(Ordering::Acquire) {
-        if flags.pause.load(Ordering::Acquire) {
-            // a = 1 entering the freeze, 0 on thaw.
-            core.recorder()
-                .record(Component::Engine, EventKind::EngineParked, 0, 1, 0);
-            flags.parked.store(true, Ordering::Release);
-            while flags.pause.load(Ordering::Acquire)
-                && !flags.stop.load(Ordering::Acquire)
-                && !flags.kill.load(Ordering::Acquire)
-            {
-                std::thread::yield_now();
-            }
-            flags.parked.store(false, Ordering::Release);
-            core.recorder()
-                .record(Component::Engine, EventKind::EngineParked, 0, 0, 0);
-        }
-        let draining = flags.drain.load(Ordering::Acquire);
-        if draining && !drain_seen {
-            drain_seen = true;
-            // a = 1: graceful two-minute warning (vs 0 for an abrupt kill).
-            core.recorder()
-                .record(Component::Engine, EventKind::EnginePreempted, 0, 1, 0);
-        }
-        // While draining we stop soliciting new work — except to kick the
-        // state machine when parsed requests are waiting with nothing in
-        // flight (a probe's completion is what re-runs the pending queue).
-        if !draining || (pending.is_empty() && core.backlog() > 0) {
-            // Attribution: soliciting work (green-block probe issue) is the
-            // engine's Probe phase, measured on the agent thread's wall
-            // clock.
-            let _probe_scope = prof.scope(Phase::Probe);
-            let ops = core.on_probe_due();
-            post_ops(&wiring, chaining, ops, &mut pending, &mut next_wr);
-        }
-
-        // Drain completions until the engine goes quiet for this round.
-        let mut idle_spins = 0;
-        while !pending.is_empty() && idle_spins < 10_000 {
-            if flags.kill.load(Ordering::Acquire) {
-                break 'outer;
-            }
-            let completions = wiring.nic.poll(64);
-            if completions.is_empty() {
-                idle_spins += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            idle_spins = 0;
-            for c in completions {
-                if !c.is_ok() {
-                    core.reset_to_committed();
-                    pending.clear();
-                    continue;
-                }
-                let Some(landing) = pending.remove(&c.wr_id) else {
-                    continue;
-                };
-                // Attribution: dispatching fetched data through the state
-                // machine (and issuing the follow-up verbs) is Execute.
-                let _exec_scope = prof.scope(Phase::Execute);
-                let ops = deliver(&mut core, landing, c.data);
-                post_ops(&wiring, chaining, ops, &mut pending, &mut next_wr);
-            }
-        }
-
-        if core.is_fenced() {
-            // A newer epoch owns the channel: exit without touching the
-            // fabric again (EngineStats::fenced is already set).
+    let mut draining = false;
+    let mut idle_passes: u32 = 0;
+    loop {
+        if flags.kill.load(Ordering::Acquire) {
+            // a = 0: revocation without warning (in-flight work abandoned).
+            slot.core
+                .recorder()
+                .record(Component::Engine, EventKind::EnginePreempted, 0, 0, 0);
             break;
         }
-        if draining && pending.is_empty() && core.backlog() == 0 {
-            // Preemption notice honored: everything accepted has completed
+        // A newer epoch owns the channel (EngineStats::fenced is set), or
+        // a peer standby won the election: never touch the fabric again.
+        if slot.core.is_fenced() || slot.stood_down() {
+            break;
+        }
+        let stop = flags.stop.load(Ordering::Acquire);
+        let pause = flags.pause.load(Ordering::Acquire);
+        if !draining && flags.drain.load(Ordering::Acquire) {
+            draining = true;
+            // a = 1: graceful two-minute warning (vs 0 for an abrupt kill).
+            slot.core
+                .recorder()
+                .record(Component::Engine, EventKind::EnginePreempted, 0, 1, 0);
+        }
+        let quiet = slot.in_flight() == 0;
+        if stop && (quiet || idle_passes >= STOP_IDLE_PASSES) {
+            break;
+        }
+        if quiet && pause {
+            park(&flags, &slot.core);
+            continue;
+        }
+        if draining && quiet && slot.core.backlog() == 0 {
+            // Preemption notice honoured: everything accepted has completed
             // and the final red block is published.
             break;
         }
+        // Winding down, the agent solicits no new work — except, quiet with
+        // parsed requests still waiting, to kick the state machine (a
+        // probe's completion is what re-runs the pending queue). Otherwise
+        // probe at the maximum rate: emulated wall-clock sleeps at the
+        // paper's 2 us granularity are unreliable.
+        let mut port = EmuPort::new(&wiring);
+        let solicit = !(stop || pause || draining) || quiet;
+        let probed = solicit && slot.probe(&mut port);
+        let work = slot.poll(&mut port) || probed;
+        port.flush();
+        if work {
+            idle_passes = 0;
+        } else {
+            idle_passes = idle_passes.saturating_add(1);
+            std::thread::yield_now();
+        }
+    }
+    slot.core.stats
+}
 
-        // The paper's prototype probes every 2 us; emulated wall-clock
-        // sleeps at that granularity are unreliable, so yield instead —
-        // effectively the "maximum probe rate" configuration.
+/// Freeze until thawed (or stopped, or killed), flagging the park so
+/// callers can wait for it.
+fn park(flags: &Flags, core: &EngineCore) {
+    // a = 1 entering the freeze, 0 on thaw.
+    core.recorder()
+        .record(Component::Engine, EventKind::EngineParked, 0, 1, 0);
+    flags.parked.store(true, Ordering::Release);
+    while flags.pause.load(Ordering::Acquire)
+        && !flags.stop.load(Ordering::Acquire)
+        && !flags.kill.load(Ordering::Acquire)
+    {
         std::thread::yield_now();
     }
-    if flags.kill.load(Ordering::Acquire) {
-        // a = 0: revocation without warning (in-flight work abandoned).
-        core.recorder()
-            .record(Component::Engine, EventKind::EnginePreempted, 0, 0, 0);
-    }
-    core.stats
+    flags.parked.store(false, Ordering::Release);
+    core.recorder()
+        .record(Component::Engine, EventKind::EngineParked, 0, 0, 0);
 }
 
 #[cfg(test)]
@@ -696,5 +522,71 @@ mod tests {
         let st = standby.stop();
         assert_eq!(st.adoptions, 1);
         assert_eq!(st.writes_executed, 1, "the write must apply exactly once");
+    }
+
+    /// Keep `ch` saturated with reads from another thread until `busy`
+    /// clears; the thread returns how many reads completed.
+    fn saturate(mut ch: Channel, busy: Arc<AtomicBool>) -> JoinHandle<u64> {
+        std::thread::spawn(move || {
+            let mut window = std::collections::VecDeque::new();
+            let mut done = 0;
+            while busy.load(Ordering::Acquire) {
+                while window.len() < 32 {
+                    match ch.async_read(1, 0, 8) {
+                        Ok(h) => window.push_back(h),
+                        Err(_) => break,
+                    }
+                }
+                ch.refresh();
+                while let Some(h) = window.front() {
+                    if !ch.is_complete(h.id) {
+                        break;
+                    }
+                    ch.take_response(h).unwrap();
+                    window.pop_front();
+                    done += 1;
+                }
+            }
+            done
+        })
+    }
+
+    /// Apply `wind_down` to the agent while a client keeps its channel
+    /// saturated: the agent must stop soliciting work and exit in bounded
+    /// time. Returns its final statistics.
+    fn winds_down_under_load(wind_down: fn(SpotAgent) -> EngineStats) -> EngineStats {
+        let mut bed = deploy();
+        let agent = bed.agent.take().unwrap();
+        let busy = Arc::new(AtomicBool::new(true));
+        let client = saturate(bed.ch, Arc::clone(&busy));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let waiter = std::thread::spawn(move || wind_down(agent));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !waiter.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the agent must wind down under load"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        busy.store(false, Ordering::Release);
+        assert!(client.join().unwrap() > 0, "the client was served");
+        waiter.join().unwrap()
+    }
+
+    #[test]
+    fn preemption_notice_lands_under_sustained_load() {
+        let st = winds_down_under_load(|agent| {
+            agent.preemption_notice().deliver();
+            agent.join()
+        });
+        assert!(!st.fenced);
+        assert!(st.reads_executed > 0);
+    }
+
+    #[test]
+    fn stop_lands_under_sustained_load() {
+        let st = winds_down_under_load(SpotAgent::stop);
+        assert!(st.reads_executed > 0);
     }
 }

@@ -113,6 +113,12 @@ impl EmuNic {
         self.shared.nic.lock().poll(max)
     }
 
+    /// Like [`EmuNic::poll`], but appends into a caller-owned scratch
+    /// vector. Returns the number of completions appended.
+    pub fn poll_into(&self, max: usize, out: &mut Vec<Completion>) -> usize {
+        self.shared.nic.lock().poll_into(max, out)
+    }
+
     /// Blockingly wait until `n` completions have been collected (test and
     /// example convenience; spins with a yield like a real poller would).
     pub fn poll_blocking(&self, n: usize) -> Vec<Completion> {
