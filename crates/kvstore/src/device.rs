@@ -44,6 +44,12 @@ pub trait Device: Send {
     /// Collect finished operations.
     fn poll(&mut self) -> Vec<Completion>;
 
+    /// Append finished operations to `out`. Backends that queue their
+    /// completions override this to move them without a fresh `Vec`.
+    fn poll_into(&mut self, out: &mut Vec<Completion>) {
+        out.extend(self.poll());
+    }
+
     /// Operations issued but not yet surfaced by [`Device::poll`].
     fn pending(&self) -> usize;
 

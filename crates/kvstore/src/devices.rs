@@ -62,12 +62,33 @@ impl LocalMemoryDevice {
 
     /// Test hook: direct view of stored bytes.
     pub fn peek(&self, addr: u64, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        let end = ((addr as usize) + len).min(self.store.len());
-        if (addr as usize) < end {
-            v[..end - addr as usize].copy_from_slice(&self.store[addr as usize..end]);
-        }
+        let mut v = Vec::with_capacity(len);
+        self.extend_stored(addr, len, &mut v);
         v
+    }
+
+    /// Append the `len` bytes at `addr` to `out`; bytes never written read
+    /// as zero.
+    fn extend_stored(&self, addr: u64, len: usize, out: &mut Vec<u8>) {
+        let from = (addr as usize).min(self.store.len());
+        let to = (addr as usize + len).min(self.store.len());
+        out.extend_from_slice(&self.store[from..to]);
+        out.resize(out.len() + len - (to - from), 0);
+    }
+
+    /// The 8-byte little-endian word at `addr` (zero where never written).
+    fn word_at(&self, addr: u64) -> u64 {
+        let from = (addr as usize).min(self.store.len());
+        let to = (addr as usize + 8).min(self.store.len());
+        let mut word = [0u8; 8];
+        word[..to - from].copy_from_slice(&self.store[from..to]);
+        u64::from_le_bytes(word)
+    }
+
+    fn next_token(&mut self) -> Token {
+        let token = self.next_token;
+        self.next_token += 1;
+        token
     }
 }
 
@@ -75,8 +96,7 @@ impl Device for LocalMemoryDevice {
     fn write_async(&mut self, addr: u64, data: &[u8]) -> Token {
         self.ensure(addr + data.len() as u64);
         self.store[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-        let token = self.next_token;
-        self.next_token += 1;
+        let token = self.next_token();
         self.ready.push_back(Completion {
             token,
             data: None,
@@ -86,9 +106,9 @@ impl Device for LocalMemoryDevice {
     }
 
     fn read_async(&mut self, addr: u64, len: u32) -> Token {
-        let token = self.next_token;
-        self.next_token += 1;
-        let data = self.peek(addr, len as usize);
+        let token = self.next_token();
+        let mut data = Vec::with_capacity(len as usize);
+        self.extend_stored(addr, len as usize, &mut data);
         self.ready.push_back(Completion {
             token,
             data: Some(data),
@@ -99,42 +119,37 @@ impl Device for LocalMemoryDevice {
 
     fn read_indirect_async(&mut self, slot_addr: u64, len: u32) -> Option<Token> {
         // Local execution of the engine's single-hop semantics, including
-        // the wire-format response, so store logic is backend-agnostic.
-        let word = u64::from_le_bytes(self.peek(slot_addr, 8).try_into().unwrap());
-        let ptr = word & CHASE_PTR_MASK;
-        let token = self.next_token;
-        self.next_token += 1;
-        let (status, payload) = if ptr == 0 {
-            (
-                ChaseStatusWord {
-                    status: ChaseStatus::NullPointer,
-                    hops: 0,
-                    final_addr: 0,
-                },
-                Vec::new(),
-            )
+        // the wire-format response, so store logic is backend-agnostic. The
+        // response is built in one buffer of its exact size.
+        let ptr = self.word_at(slot_addr) & CHASE_PTR_MASK;
+        let token = self.next_token();
+        let (status, block_len) = if ptr == 0 {
+            let status = ChaseStatusWord {
+                status: ChaseStatus::NullPointer,
+                hops: 0,
+                final_addr: 0,
+            };
+            (status, 0)
         } else {
-            let block = self.peek(ptr, len as usize);
-            let next = if block.len() >= 8 {
-                u64::from_le_bytes(block[..8].try_into().unwrap()) & CHASE_PTR_MASK
+            let next = if len >= 8 {
+                self.word_at(ptr) & CHASE_PTR_MASK
             } else {
                 0
             };
-            (
-                ChaseStatusWord {
-                    status: if next == 0 {
-                        ChaseStatus::Ok
-                    } else {
-                        ChaseStatus::BudgetExhausted
-                    },
-                    hops: 1,
-                    final_addr: ptr,
+            let status = ChaseStatusWord {
+                status: if next == 0 {
+                    ChaseStatus::Ok
+                } else {
+                    ChaseStatus::BudgetExhausted
                 },
-                block,
-            )
+                hops: 1,
+                final_addr: ptr,
+            };
+            (status, len as usize)
         };
-        let mut data = status.encode().to_le_bytes().to_vec();
-        data.extend_from_slice(&payload);
+        let mut data = Vec::with_capacity(8 + block_len);
+        data.extend_from_slice(&status.encode().to_le_bytes());
+        self.extend_stored(ptr, block_len, &mut data);
         self.ready.push_back(Completion {
             token,
             data: Some(data),
@@ -145,6 +160,10 @@ impl Device for LocalMemoryDevice {
 
     fn poll(&mut self) -> Vec<Completion> {
         self.ready.drain(..).collect()
+    }
+
+    fn poll_into(&mut self, out: &mut Vec<Completion>) {
+        out.extend(self.ready.drain(..));
     }
 
     fn pending(&self) -> usize {
@@ -175,9 +194,8 @@ impl SsdSimDevice {
 
     fn absorb(&mut self) {
         let due = StdInstant::now() + self.latency;
-        for c in self.inner.poll() {
-            self.delayed.push_back((due, c));
-        }
+        self.delayed
+            .extend(self.inner.ready.drain(..).map(|c| (due, c)));
     }
 }
 
@@ -195,8 +213,13 @@ impl Device for SsdSimDevice {
     }
 
     fn poll(&mut self) -> Vec<Completion> {
-        let now = StdInstant::now();
         let mut out = Vec::new();
+        self.poll_into(&mut out);
+        out
+    }
+
+    fn poll_into(&mut self, out: &mut Vec<Completion>) {
+        let now = StdInstant::now();
         while let Some((due, _)) = self.delayed.front() {
             if *due <= now {
                 out.push(self.delayed.pop_front().unwrap().1);
@@ -204,7 +227,6 @@ impl Device for SsdSimDevice {
                 break;
             }
         }
-        out
     }
 
     fn pending(&self) -> usize {

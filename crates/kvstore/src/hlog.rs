@@ -18,8 +18,6 @@
 //! the device (blocking until durable — buffer space must not be reused
 //! before the flush lands remotely) and then advances `head`.
 
-use std::collections::HashSet;
-
 use crate::device::{Completion, Device, Token};
 
 /// First valid log address (0 is the null/chain-terminator address).
@@ -42,7 +40,7 @@ pub struct HybridLog<D: Device> {
     pub device: D,
     /// Completions that belong to the store's pending reads but surfaced
     /// while the log was waiting for its own flush tokens; the store drains
-    /// them via [`HybridLog::take_stashed`].
+    /// them via [`HybridLog::take_stashed_into`].
     stashed: Vec<Completion>,
     /// Flush statistics.
     pub bytes_flushed: u64,
@@ -69,30 +67,44 @@ impl<D: Device> HybridLog<D> {
         }
     }
 
-    /// Completions for operations the log does not own (reads issued by the
-    /// store) that were reaped during a blocking flush.
-    pub fn take_stashed(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.stashed)
+    /// Move completions for operations the log does not own (reads issued
+    /// by the store) that were reaped during a blocking flush to `out`.
+    pub fn take_stashed_into(&mut self, out: &mut Vec<Completion>) {
+        if out.is_empty() {
+            // Hand the stash's buffer over whole: a long stretch of upserts
+            // with no poll can stash thousands of acks.
+            std::mem::swap(out, &mut self.stashed);
+        } else {
+            out.append(&mut self.stashed);
+        }
     }
 
     /// Wait until every token in `tokens` completes, stashing any foreign
     /// completions for the store.
-    fn await_tokens(&mut self, mut tokens: HashSet<Token>) {
+    fn await_tokens(&mut self, mut tokens: Vec<Token>) {
         let mut spins: u64 = 0;
         while !tokens.is_empty() {
-            let got = self.device.poll();
-            if got.is_empty() {
+            let before = tokens.len();
+            // Poll onto the stash, then take this flush's acks back out of
+            // the fresh tail, keeping the foreign completions in order.
+            let fresh = self.stashed.len();
+            self.device.poll_into(&mut self.stashed);
+            let mut kept = fresh;
+            for i in fresh..self.stashed.len() {
+                let c = &self.stashed[i];
+                if let Some(at) = tokens.iter().position(|&t| t == c.token) {
+                    debug_assert!(c.ok, "flush write failed");
+                    tokens.swap_remove(at);
+                } else {
+                    self.stashed.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            self.stashed.truncate(kept);
+            if tokens.len() == before {
                 spins += 1;
                 if spins.is_multiple_of(16) {
                     std::thread::yield_now();
-                }
-                continue;
-            }
-            for c in got {
-                if tokens.remove(&c.token) {
-                    debug_assert!(c.ok, "flush write failed");
-                } else {
-                    self.stashed.push(c);
                 }
             }
         }
@@ -150,14 +162,14 @@ impl<D: Device> HybridLog<D> {
         let wanted_ro = self.tail.saturating_sub(mutable_bytes).max(target_head);
         let new_ro = wanted_ro.min(self.tail).max(self.read_only);
         // Flush [flushed, new_ro).
-        let mut flush_tokens = HashSet::new();
+        let mut flush_tokens = Vec::new();
         let mut at = self.flushed;
         while at < new_ro {
             let phys = (at % self.capacity) as usize;
             let span = (new_ro - at)
                 .min(FLUSH_CHUNK)
                 .min(self.capacity - at % self.capacity) as usize;
-            flush_tokens.insert(self.device.write_async(at, &self.buf[phys..phys + span]));
+            flush_tokens.push(self.device.write_async(at, &self.buf[phys..phys + span]));
             self.bytes_flushed += span as u64;
             at += span as u64;
         }
@@ -176,14 +188,14 @@ impl<D: Device> HybridLog<D> {
         self.evict(self.head);
         // evict() only flushes to wanted_ro; force the remainder.
         let target = self.tail;
-        let mut flush_tokens = HashSet::new();
+        let mut flush_tokens = Vec::new();
         let mut at = self.flushed;
         while at < target {
             let phys = (at % self.capacity) as usize;
             let span = (target - at)
                 .min(FLUSH_CHUNK)
                 .min(self.capacity - at % self.capacity) as usize;
-            flush_tokens.insert(self.device.write_async(at, &self.buf[phys..phys + span]));
+            flush_tokens.push(self.device.write_async(at, &self.buf[phys..phys + span]));
             self.bytes_flushed += span as u64;
             at += span as u64;
         }
@@ -208,12 +220,12 @@ impl<D: Device> HybridLog<D> {
         }
     }
 
-    /// Read `len` bytes at `addr` from memory; `None` if evicted.
-    pub fn read_mem(&self, addr: u64, len: u64) -> Option<Vec<u8>> {
-        if addr < self.head || addr + len > self.tail {
-            return None;
+    /// Fill `out` with the bytes at `addr` from memory; `false` (and `out`
+    /// untouched) if any of them are not in memory.
+    pub fn read_mem_into(&self, addr: u64, out: &mut [u8]) -> bool {
+        if addr < self.head || addr + out.len() as u64 > self.tail {
+            return false;
         }
-        let mut out = vec![0u8; len as usize];
         let mut off = addr;
         let mut i = 0;
         while i < out.len() {
@@ -223,7 +235,7 @@ impl<D: Device> HybridLog<D> {
             off += span as u64;
             i += span;
         }
-        Some(out)
+        true
     }
 }
 
@@ -236,13 +248,18 @@ mod tests {
         HybridLog::new(capacity, 0.25, LocalMemoryDevice::new())
     }
 
+    fn read_mem(l: &HybridLog<LocalMemoryDevice>, addr: u64, len: usize) -> Option<Vec<u8>> {
+        let mut out = vec![0u8; len];
+        l.read_mem_into(addr, &mut out).then_some(out)
+    }
+
     #[test]
     fn alloc_and_readback_in_memory() {
         let mut l = log(4096);
         let a = l.alloc(100);
         assert_eq!(a, LOG_BASE);
         l.write_at(a, &[7u8; 100]);
-        assert_eq!(l.read_mem(a, 100).unwrap(), vec![7u8; 100]);
+        assert_eq!(read_mem(&l, a, 100).unwrap(), vec![7u8; 100]);
         assert!(l.in_memory(a));
     }
 
@@ -257,7 +274,7 @@ mod tests {
         }
         // The first record must be evicted by now.
         assert!(!l.in_memory(first));
-        assert!(l.read_mem(first, 1024).is_none());
+        assert!(read_mem(&l, first, 1024).is_none());
         assert!(l.evictions > 0);
         // And durable on the device.
         assert!(l.flushed_boundary() > first);
@@ -275,7 +292,7 @@ mod tests {
             let pattern = vec![i; 600];
             l.write_at(a, &pattern);
             last = a;
-            assert_eq!(l.read_mem(a, 600).unwrap(), pattern, "iter {i}");
+            assert_eq!(read_mem(&l, a, 600).unwrap(), pattern, "iter {i}");
         }
         assert!(l.in_memory(last));
     }

@@ -11,6 +11,10 @@
 //! Records are immutable once written; updates append a new record whose
 //! `prev` points at the old one (FASTER's hybrid-log discipline: the
 //! in-memory tail is writable only until an address becomes read-only).
+//! Only the header is ever decoded: a value is read (or handed on) where it
+//! lies, after the header.
+
+use std::ops::Range;
 
 /// Record header size.
 pub const HEADER_BYTES: u64 = 24;
@@ -22,70 +26,53 @@ pub const NULL_ADDR: u64 = 0;
 /// Flags bit 0: this record is a deletion marker.
 pub const FLAG_TOMBSTONE: u32 = 1;
 
-/// A decoded record header + value.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Record {
+/// Total on-log footprint of a record with a `val_len`-byte value (8-byte
+/// aligned).
+pub fn footprint(val_len: usize) -> u64 {
+    (HEADER_BYTES + val_len as u64 + 7) & !7
+}
+
+/// A record's fixed-size header; the value follows it on the log.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RecordHeader {
     pub prev: u64,
     pub key: u64,
-    pub value: Vec<u8>,
+    pub val_len: u32,
     /// Deletion marker: the key is gone as of this version.
     pub tombstone: bool,
 }
 
-impl Record {
-    /// Total on-log footprint for a value length (8-byte aligned).
-    pub fn footprint(val_len: usize) -> u64 {
-        (HEADER_BYTES + val_len as u64 + 7) & !7
-    }
-
-    /// Encode into `out` (must be `footprint` bytes).
-    pub fn encode(&self, out: &mut [u8]) {
-        let need = Self::footprint(self.value.len()) as usize;
-        assert!(out.len() >= need);
+impl RecordHeader {
+    /// The header's on-log bytes.
+    pub fn encode(&self) -> [u8; HEADER_BYTES as usize] {
+        let mut out = [0u8; HEADER_BYTES as usize];
         out[0..8].copy_from_slice(&self.prev.to_le_bytes());
         out[8..16].copy_from_slice(&self.key.to_le_bytes());
-        out[16..20].copy_from_slice(&(self.value.len() as u32).to_le_bytes());
+        out[16..20].copy_from_slice(&self.val_len.to_le_bytes());
         let flags = if self.tombstone { FLAG_TOMBSTONE } else { 0 };
         out[20..24].copy_from_slice(&flags.to_le_bytes());
-        out[24..24 + self.value.len()].copy_from_slice(&self.value);
-        // Zero the padding for deterministic bytes.
-        for b in &mut out[24 + self.value.len()..need] {
-            *b = 0;
-        }
+        out
     }
 
-    /// Encode into a fresh vec.
-    pub fn encode_vec(&self) -> Vec<u8> {
-        let mut v = vec![0u8; Self::footprint(self.value.len()) as usize];
-        self.encode(&mut v);
-        v
-    }
-
-    /// Decode the header; returns (prev, key, val_len, flags).
-    pub fn decode_header(bytes: &[u8]) -> Option<(u64, u64, u32, u32)> {
-        if bytes.len() < HEADER_BYTES as usize {
-            return None;
-        }
-        let prev = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        let key = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let val_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-        let flags = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-        Some((prev, key, val_len, flags))
-    }
-
-    /// Decode a whole record.
-    pub fn decode(bytes: &[u8]) -> Option<Record> {
-        let (prev, key, val_len, flags) = Self::decode_header(bytes)?;
-        let end = HEADER_BYTES as usize + val_len as usize;
-        if bytes.len() < end {
-            return None;
-        }
-        Some(Record {
-            prev,
-            key,
-            value: bytes[HEADER_BYTES as usize..end].to_vec(),
-            tombstone: flags & FLAG_TOMBSTONE != 0,
+    /// Decode the header at the front of `bytes`; `None` if it is short.
+    pub fn decode(bytes: &[u8]) -> Option<RecordHeader> {
+        let h = bytes.get(..HEADER_BYTES as usize)?;
+        let word = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("8 bytes"));
+        let half = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().expect("4 bytes"));
+        Some(RecordHeader {
+            prev: word(0),
+            key: word(8),
+            val_len: half(16),
+            tombstone: half(20) & FLAG_TOMBSTONE != 0,
         })
+    }
+
+    /// Decode the record at the front of `block`: its header, and where its
+    /// value lies in `block`. `None` if the block is too short for either.
+    pub fn decode_block(block: &[u8]) -> Option<(RecordHeader, Range<usize>)> {
+        let header = RecordHeader::decode(block)?;
+        let value = HEADER_BYTES as usize..HEADER_BYTES as usize + header.val_len as usize;
+        (value.end <= block.len()).then_some((header, value))
     }
 }
 
@@ -94,51 +81,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip() {
-        let r = Record {
-            prev: 0xABCD,
-            key: 42,
-            value: b"hello world".to_vec(),
-            tombstone: false,
-        };
-        let bytes = r.encode_vec();
-        assert_eq!(bytes.len() % 8, 0);
-        assert_eq!(Record::decode(&bytes), Some(r));
+    fn header_roundtrips() {
+        for tombstone in [false, true] {
+            let h = RecordHeader {
+                prev: 0xABCD,
+                key: 42,
+                val_len: 11,
+                tombstone,
+            };
+            assert_eq!(RecordHeader::decode(&h.encode()), Some(h));
+        }
     }
 
     #[test]
     fn footprint_alignment() {
-        assert_eq!(Record::footprint(0), 24);
-        assert_eq!(Record::footprint(1), 32);
-        assert_eq!(Record::footprint(8), 32);
-        assert_eq!(Record::footprint(9), 40);
-        assert_eq!(Record::footprint(64), 88);
+        assert_eq!(footprint(0), 24);
+        assert_eq!(footprint(1), 32);
+        assert_eq!(footprint(8), 32);
+        assert_eq!(footprint(9), 40);
+        assert_eq!(footprint(64), 88);
     }
 
     #[test]
-    fn tombstones_roundtrip() {
-        let t = Record {
-            prev: 7,
-            key: 9,
-            value: vec![],
-            tombstone: true,
-        };
-        let bytes = t.encode_vec();
-        let back = Record::decode(&bytes).unwrap();
-        assert!(back.tombstone);
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn truncated_bytes_rejected() {
-        let r = Record {
+    fn truncated_blocks_rejected() {
+        let h = RecordHeader {
             prev: 1,
             key: 2,
-            value: vec![7; 100],
+            val_len: 100,
             tombstone: false,
         };
-        let bytes = r.encode_vec();
-        assert!(Record::decode(&bytes[..23]).is_none());
-        assert!(Record::decode(&bytes[..60]).is_none());
+        let mut block = h.encode().to_vec();
+        block.resize(footprint(100) as usize, 7);
+        assert!(RecordHeader::decode(&block[..23]).is_none());
+        assert!(RecordHeader::decode_block(&block[..23]).is_none());
+        assert!(
+            RecordHeader::decode_block(&block[..60]).is_none(),
+            "short value"
+        );
+        assert_eq!(RecordHeader::decode_block(&block), Some((h, 24..124)));
     }
 }

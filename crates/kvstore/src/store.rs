@@ -8,15 +8,14 @@
 //! resolve by walking the record chain, re-issuing device reads as needed
 //! (chains can span memory and storage).
 
-use std::collections::HashMap;
-
 use cowbird::meta::{ChaseStatus, ChaseStatusWord};
 use parking_lot::Mutex;
+use simnet::fasthash::FastHashMap;
 
-use crate::device::{Device, Token};
+use crate::device::{Completion, Device, Token};
 use crate::hlog::HybridLog;
 use crate::index::{hash_key, HashIndex};
-use crate::record::{Record, HEADER_BYTES, NULL_ADDR};
+use crate::record::{footprint, RecordHeader, HEADER_BYTES, NULL_ADDR};
 
 /// A pool-side mirror of the hash-index slots, making the index probe a
 /// *remote* access — the disaggregated deployment where the index outgrows
@@ -122,7 +121,11 @@ struct Shard<D: Device> {
     index: HashIndex,
     log: HybridLog<D>,
     /// device token -> the GET continuation it resolves
-    pending: HashMap<Token, PendingOp>,
+    pending: FastHashMap<Token, PendingOp>,
+    /// Resolved GETs not yet taken by their caller: `(pid, value)`.
+    done: Vec<(u64, Option<Vec<u8>>)>,
+    /// Reused buffer for one poll's device completions.
+    completions: Vec<Completion>,
     next_pending: u64,
     max_read_span: u64,
     remote_index: Option<RemoteIndex>,
@@ -134,9 +137,11 @@ impl<D: Device> Shard<D> {
         Shard {
             index: HashIndex::new(cfg.index_slots),
             log: HybridLog::new(cfg.memory_per_shard, cfg.mutable_fraction, device),
-            pending: HashMap::new(),
+            pending: FastHashMap::default(),
+            done: Vec::new(),
+            completions: Vec::new(),
             next_pending: 1,
-            max_read_span: Record::footprint(cfg.max_value_bytes as usize),
+            max_read_span: footprint(cfg.max_value_bytes as usize),
             remote_index: cfg.remote_index,
             stats: GetStats::default(),
         }
@@ -173,17 +178,23 @@ impl<D: Device> Shard<D> {
         self.append(key, &[], true)
     }
 
+    /// Write header, value and zero padding straight into the log window.
     fn append(&mut self, key: u64, value: &[u8], tombstone: bool) {
         let mut head = self.index.lookup(key);
-        let fp = Record::footprint(value.len());
+        let fp = footprint(value.len());
         let addr = self.log.alloc(fp);
-        let rec = Record {
+        let header = RecordHeader {
             prev: head.unwrap_or(NULL_ADDR),
             key,
-            value: value.to_vec(),
+            val_len: value.len() as u32,
             tombstone,
         };
-        self.log.write_at(addr, &rec.encode_vec());
+        self.log.write_at(addr, &header.encode());
+        let value_at = addr + HEADER_BYTES;
+        self.log.write_at(value_at, value);
+        let pad = (fp - HEADER_BYTES) as usize - value.len();
+        self.log
+            .write_at(value_at + value.len() as u64, &[0u8; 8][..pad]);
         loop {
             match self.index.publish(key, head, addr) {
                 Ok(()) => break,
@@ -210,23 +221,21 @@ impl<D: Device> Shard<D> {
                 return Resolution::NotFound;
             }
             if self.log.in_memory(addr) {
-                let header = self
-                    .log
-                    .read_mem(addr, HEADER_BYTES)
-                    .expect("in-memory header");
-                let (prev, rkey, val_len, flags) =
-                    Record::decode_header(&header).expect("header decodes");
-                if rkey == key {
-                    if flags & crate::record::FLAG_TOMBSTONE != 0 {
+                let mut bytes = [0u8; HEADER_BYTES as usize];
+                assert!(self.log.read_mem_into(addr, &mut bytes), "in-memory header");
+                let header = RecordHeader::decode(&bytes).expect("header decodes");
+                if header.key == key {
+                    if header.tombstone {
                         return Resolution::NotFound;
                     }
-                    let val = self
-                        .log
-                        .read_mem(addr + HEADER_BYTES, val_len as u64)
-                        .expect("in-memory value");
+                    let mut val = vec![0u8; header.val_len as usize];
+                    assert!(
+                        self.log.read_mem_into(addr + HEADER_BYTES, &mut val),
+                        "in-memory value"
+                    );
                     return Resolution::Found(val);
                 }
-                addr = prev;
+                addr = header.prev;
             } else {
                 let span = self
                     .max_read_span
@@ -263,55 +272,64 @@ impl<D: Device> Shard<D> {
         )
     }
 
-    fn read(&mut self, key: u64) -> Result<Resolution, ()> {
+    fn read(&mut self, key: u64) -> Resolution {
         self.stats.gets += 1;
         match self.index.lookup(key) {
             None => {
                 // Mirror parity: an empty local slot means an empty (or
                 // foreign-tag) mirrored slot — no trip needed either way.
                 self.stats.local_hits += 1;
-                Ok(Resolution::NotFound)
+                Resolution::NotFound
             }
             Some(addr) if self.remote_index.is_some() && !self.log.in_memory(addr) => {
                 let (token, kind) = self.remote_get(key);
-                Ok(Resolution::NeedDevice(token, kind))
+                Resolution::NeedDevice(token, kind)
             }
             Some(addr) => {
                 let r = self.resolve(key, addr);
                 if !matches!(r, Resolution::NeedDevice(..)) {
                     self.stats.local_hits += 1;
                 }
-                Ok(r)
+                r
             }
         }
     }
 
-    /// Collect device completions, continuing chain walks as needed.
-    fn poll(&mut self) -> Vec<(u64, Option<Vec<u8>>)> {
-        let mut completions = self.log.take_stashed();
-        completions.extend(self.log.device.poll());
-        let mut out = Vec::new();
-        for c in completions {
+    /// Register a GET that went to the device; returns its pending id.
+    fn park(&mut self, key: u64, token: Token, kind: PendingKind) -> u64 {
+        let pid = self.next_pending;
+        self.next_pending += 1;
+        self.pending.insert(token, PendingOp { pid, key, kind });
+        pid
+    }
+
+    /// Collect device completions, continuing chain walks as needed; every
+    /// GET that resolves lands in `done`.
+    fn poll_into(&mut self) {
+        let mut completions = std::mem::take(&mut self.completions);
+        self.log.take_stashed_into(&mut completions);
+        self.log.device.poll_into(&mut completions);
+        for c in completions.drain(..) {
             let Some(op) = self.pending.remove(&c.token) else {
                 continue; // a flush or slot-mirror ack that raced; harmless
             };
             let (pid, key) = (op.pid, op.key);
             if !c.ok {
-                out.push((pid, None));
+                self.done.push((pid, None));
                 continue;
             }
             let bytes = c.data.expect("read completion carries data");
             match op.kind {
-                PendingKind::Record => self.continue_with_record(pid, key, &bytes, &mut out),
+                PendingKind::Record => self.continue_with_record(pid, key, bytes, 0),
                 PendingKind::SlotProbe => {
                     // Trip 2 of probe-then-fetch: dereference the mirrored
                     // slot word and go after the record.
                     let word = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte slot"));
                     let addr = HashIndex::addr_of_raw(word);
                     if addr == NULL_ADDR {
-                        out.push((pid, None));
+                        self.done.push((pid, None));
                     } else {
-                        self.continue_resolve(pid, key, addr, &mut out);
+                        self.continue_resolve(pid, key, addr);
                     }
                 }
                 PendingKind::Chase => {
@@ -326,10 +344,10 @@ impl<D: Device> Shard<D> {
                                 ChaseStatus::Ok | ChaseStatus::BudgetExhausted
                             ) =>
                         {
-                            self.continue_with_record(pid, key, &bytes[8..], &mut out)
+                            self.continue_with_record(pid, key, bytes, 8)
                         }
                         Some(s) if s.status == ChaseStatus::NullPointer => {
-                            out.push((pid, None));
+                            self.done.push((pid, None));
                         }
                         _ => {
                             // Abort status or undecodable response: retry
@@ -353,45 +371,47 @@ impl<D: Device> Shard<D> {
                 }
             }
         }
-        out
+        self.completions = completions;
     }
 
-    /// A record block arrived for `pid`: finish on a key match, otherwise
+    /// A record block arrived for `pid` at offset `at` of `bytes`: finish
+    /// on a key match, handing `bytes` itself back as the value, otherwise
     /// keep walking the chain.
-    fn continue_with_record(
-        &mut self,
-        pid: u64,
-        key: u64,
-        bytes: &[u8],
-        out: &mut Vec<(u64, Option<Vec<u8>>)>,
-    ) {
-        let Some(rec) = Record::decode(bytes) else {
-            out.push((pid, None));
+    fn continue_with_record(&mut self, pid: u64, key: u64, mut bytes: Vec<u8>, at: usize) {
+        let Some((header, value)) = RecordHeader::decode_block(&bytes[at..]) else {
+            self.done.push((pid, None));
             return;
         };
-        if rec.key == key {
-            out.push((pid, (!rec.tombstone).then_some(rec.value)));
+        if header.key == key {
+            let value = (!header.tombstone).then(|| {
+                bytes.truncate(at + value.end);
+                bytes.drain(..at + value.start);
+                bytes
+            });
+            self.done.push((pid, value));
             return;
         }
         // Collision: continue along the chain (may hop back into memory or
         // need another device read).
-        self.continue_resolve(pid, key, rec.prev, out);
+        self.continue_resolve(pid, key, header.prev);
     }
 
-    fn continue_resolve(
-        &mut self,
-        pid: u64,
-        key: u64,
-        addr: u64,
-        out: &mut Vec<(u64, Option<Vec<u8>>)>,
-    ) {
+    fn continue_resolve(&mut self, pid: u64, key: u64, addr: u64) {
         match self.resolve(key, addr) {
-            Resolution::Found(v) => out.push((pid, Some(v))),
-            Resolution::NotFound => out.push((pid, None)),
+            Resolution::Found(v) => self.done.push((pid, Some(v))),
+            Resolution::NotFound => self.done.push((pid, None)),
             Resolution::NeedDevice(token, kind) => {
                 self.pending.insert(token, PendingOp { pid, key, kind });
             }
         }
+    }
+
+    /// Poll, then take `pid`'s result if it has resolved, leaving every
+    /// other caller's in `done`.
+    fn take_done(&mut self, pid: u64) -> Option<Option<Vec<u8>>> {
+        self.poll_into();
+        let at = self.done.iter().position(|&(id, _)| id == pid)?;
+        Some(self.done.remove(at).1)
     }
 }
 
@@ -437,34 +457,27 @@ impl<D: Device> FasterKv<D> {
     /// absent) and returns the new one. Holds the shard for the duration;
     /// if the current version is in cold storage, the shard's device is
     /// polled inline until it arrives (FASTER's RMW similarly goes pending
-    /// on a storage miss).
+    /// on a storage miss). Other callers' GETs that resolve meanwhile stay
+    /// in the shard's stash for them.
     pub fn rmw(&self, key: u64, f: impl FnOnce(Option<&[u8]>) -> Vec<u8>) {
         let shard = self.shard_of(key);
         let mut guard = self.shards[shard].lock();
         let current = match guard.read(key) {
-            Ok(Resolution::Found(v)) => Some(v),
-            Ok(Resolution::NotFound) | Err(()) => None,
-            Ok(Resolution::NeedDevice(token, kind)) => {
+            Resolution::Found(v) => Some(v),
+            Resolution::NotFound => None,
+            Resolution::NeedDevice(token, kind) => {
                 // Resolve inline, still holding the shard.
-                let pid = guard.next_pending;
-                guard.next_pending += 1;
-                guard.pending.insert(token, PendingOp { pid, key, kind });
-                let mut got = None;
+                let pid = guard.park(key, token, kind);
                 let mut spins: u64 = 0;
-                while got.is_none() {
-                    for (id, v) in guard.poll() {
-                        if id == pid {
-                            got = Some(v);
-                        }
+                loop {
+                    if let Some(v) = guard.take_done(pid) {
+                        break v;
                     }
-                    if got.is_none() {
-                        spins += 1;
-                        if spins.is_multiple_of(8) {
-                            std::thread::yield_now();
-                        }
+                    spins += 1;
+                    if spins.is_multiple_of(8) {
+                        std::thread::yield_now();
                     }
                 }
-                got.unwrap()
             }
         };
         let new = f(current.as_deref());
@@ -478,33 +491,32 @@ impl<D: Device> FasterKv<D> {
         // other thread can poll the device and observe the completion.
         let mut guard = self.shards[shard].lock();
         match guard.read(key) {
-            Ok(Resolution::Found(v)) => ReadResult::Found(v),
-            Ok(Resolution::NotFound) => ReadResult::NotFound,
-            Ok(Resolution::NeedDevice(token, kind)) => {
-                let id = guard.next_pending;
-                guard.next_pending += 1;
-                guard
-                    .pending
-                    .insert(token, PendingOp { pid: id, key, kind });
-                ReadResult::Pending(PendingId { shard, id })
-            }
-            Err(()) => ReadResult::NotFound,
+            Resolution::Found(v) => ReadResult::Found(v),
+            Resolution::NotFound => ReadResult::NotFound,
+            Resolution::NeedDevice(token, kind) => ReadResult::Pending(PendingId {
+                shard,
+                id: guard.park(key, token, kind),
+            }),
         }
     }
 
-    /// Collect completed pending reads for a shard.
+    /// Collect completed pending reads for a shard: those resolved by this
+    /// call and those other calls resolved but did not take.
     pub fn poll(&self, shard: usize) -> Vec<(PendingId, Option<Vec<u8>>)> {
-        self.shards[shard]
-            .lock()
-            .poll()
-            .into_iter()
+        let mut guard = self.shards[shard].lock();
+        guard.poll_into();
+        guard
+            .done
+            .drain(..)
             .map(|(id, v)| (PendingId { shard, id }, v))
             .collect()
     }
 
     /// Convenience for tests and single-threaded examples: read and spin
-    /// for the result. Assumes no other caller is polling the same shard
-    /// concurrently.
+    /// for the result. Concurrent `read_blocking` and `rmw` callers on one
+    /// shard are safe: each takes only its own result. A concurrent
+    /// [`FasterKv::poll`] caller on the same shard can still take this
+    /// caller's id, and then this call never returns.
     pub fn read_blocking(&self, key: u64) -> Option<Vec<u8>> {
         match self.read(key) {
             ReadResult::Found(v) => Some(v),
@@ -512,10 +524,8 @@ impl<D: Device> FasterKv<D> {
             ReadResult::Pending(pid) => {
                 let mut spins: u64 = 0;
                 loop {
-                    for (got, v) in self.poll(pid.shard) {
-                        if got == pid {
-                            return v;
-                        }
+                    if let Some(v) = self.shards[pid.shard].lock().take_done(pid.id) {
+                        return v;
                     }
                     spins += 1;
                     if spins.is_multiple_of(8) {
@@ -689,6 +699,8 @@ mod tests {
 
 #[cfg(test)]
 mod remote_index_tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::devices::LocalMemoryDevice;
 

@@ -1,9 +1,13 @@
 //! The FASTER-style store against a `HashMap` oracle, under eviction
-//! pressure, over both a local device and the full Cowbird stack.
+//! pressure, over both a local device and the full Cowbird stack, through
+//! both `read_blocking` and batched `read` + `poll`.
 
 use std::collections::HashMap;
 
-use kvstore::{CowbirdDevice, Device, FasterKv, LocalMemoryDevice, StoreConfig};
+use kvstore::store::PendingId;
+use kvstore::{
+    CowbirdDevice, Device, FasterKv, LocalMemoryDevice, ReadResult, RemoteIndex, StoreConfig,
+};
 use proptest::prelude::*;
 use simnet::rng::Rng;
 
@@ -55,8 +59,110 @@ fn run_against_oracle<D: Device>(kv: &FasterKv<D>, ops: &[KvOp]) {
     }
 }
 
+/// Ops for the batched oracle: GETs go out up to 16 at a time and are
+/// collected through `poll`.
+#[derive(Clone, Debug)]
+enum BatchOp {
+    Upsert { key: u8, val: u8, len: u8 },
+    Delete { key: u8 },
+    Reads(Vec<u8>),
+}
+
+fn arb_batch_op() -> impl Strategy<Value = BatchOp> {
+    let upsert = || {
+        (any::<u8>(), any::<u8>(), 0u8..64).prop_map(|(key, val, len)| BatchOp::Upsert {
+            key,
+            val,
+            len,
+        })
+    };
+    // Three upsert arms: enough live data to keep the window evicting.
+    prop_oneof![
+        upsert(),
+        upsert(),
+        upsert(),
+        any::<u8>().prop_map(|key| BatchOp::Delete { key }),
+        proptest::collection::vec(any::<u8>(), 1..=16).prop_map(BatchOp::Reads),
+    ]
+}
+
+fn remote_cfg(chase: bool) -> StoreConfig {
+    StoreConfig {
+        remote_index: Some(RemoteIndex {
+            base: 1 << 20,
+            chase,
+        }),
+        ..tiny_cfg()
+    }
+}
+
+/// Issue each batch's GETs with `read`, then `poll` until every pending id
+/// has come back: each exactly once, none that was never issued, every
+/// value the oracle's.
+fn run_batched_against_oracle<D: Device>(kv: &FasterKv<D>, ops: &[BatchOp]) {
+    let mut oracle: HashMap<u64, Vec<u8>> = HashMap::new();
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            &BatchOp::Upsert { key, val, len } => {
+                let v = vec![val; len as usize];
+                kv.upsert(key as u64, &v);
+                oracle.insert(key as u64, v);
+            }
+            &BatchOp::Delete { key } => {
+                kv.delete(key as u64);
+                oracle.remove(&(key as u64));
+            }
+            BatchOp::Reads(keys) => {
+                let mut pending: HashMap<PendingId, u64> = HashMap::new();
+                for &key in keys {
+                    let key = key as u64;
+                    match kv.read(key) {
+                        ReadResult::Found(v) => {
+                            assert_eq!(Some(&v), oracle.get(&key), "op {i}: hot key {key}")
+                        }
+                        ReadResult::NotFound => {
+                            assert_eq!(None, oracle.get(&key), "op {i}: key {key}")
+                        }
+                        ReadResult::Pending(id) => {
+                            assert!(pending.insert(id, key).is_none(), "op {i}: {id:?} reissued")
+                        }
+                    }
+                }
+                let mut polls = 0;
+                while !pending.is_empty() {
+                    polls += 1;
+                    assert!(polls <= 64, "op {i}: {pending:?} never resolved");
+                    for (id, got) in kv.poll(0) {
+                        let key = pending
+                            .remove(&id)
+                            .unwrap_or_else(|| panic!("op {i}: {id:?} not pending"));
+                        assert_eq!(got.as_ref(), oracle.get(&key), "op {i}: cold key {key}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(kv.poll(0).is_empty(), "poll returned an id twice");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    #[test]
+    fn batched_reads_match_oracle_through_chase(
+        ops in proptest::collection::vec(arb_batch_op(), 1..300),
+    ) {
+        let kv = FasterKv::new(remote_cfg(true), vec![LocalMemoryDevice::new()]);
+        run_batched_against_oracle(&kv, &ops);
+    }
+
+    #[test]
+    fn batched_reads_match_oracle_through_slot_probe(
+        ops in proptest::collection::vec(arb_batch_op(), 1..300),
+    ) {
+        let kv = FasterKv::new(remote_cfg(false), vec![LocalMemoryDevice::new()]);
+        run_batched_against_oracle(&kv, &ops);
+    }
 
     #[test]
     fn store_matches_hashmap_oracle_under_eviction(
@@ -76,6 +182,55 @@ proptest! {
         );
         run_against_oracle(&kv, &ops);
     }
+}
+
+/// A one-shard store holding two keys that eviction has pushed to the
+/// device, so GETs of either go pending.
+fn store_with_two_cold_keys() -> FasterKv<LocalMemoryDevice> {
+    let kv = FasterKv::new(tiny_cfg(), vec![LocalMemoryDevice::new()]);
+    kv.upsert(1, b"first");
+    kv.upsert(2, b"second");
+    for k in 100..400u64 {
+        kv.upsert(k, &[0xEE; 64]);
+    }
+    kv
+}
+
+/// Poll `pid`'s shard a bounded number of times for its result.
+fn poll_for(kv: &FasterKv<LocalMemoryDevice>, pid: PendingId) -> Option<Vec<u8>> {
+    for _ in 0..16 {
+        if let Some((_, v)) = kv.poll(pid.shard).into_iter().find(|&(id, _)| id == pid) {
+            return v;
+        }
+    }
+    panic!("pending read {pid:?} never came back from poll");
+}
+
+/// `read_blocking` takes only its own completion: a GET another caller left
+/// pending on the same shard still comes back from `poll`.
+#[test]
+fn read_blocking_leaves_other_pending_reads_to_poll() {
+    let kv = store_with_two_cold_keys();
+    let ReadResult::Pending(first) = kv.read(1) else {
+        panic!("key 1 must be cold");
+    };
+    assert_eq!(kv.read_blocking(2), Some(b"second".to_vec()));
+    assert_eq!(poll_for(&kv, first), Some(b"first".to_vec()));
+}
+
+/// The same through `rmw`, which resolves its cold read inline.
+#[test]
+fn rmw_leaves_other_pending_reads_to_poll() {
+    let kv = store_with_two_cold_keys();
+    let ReadResult::Pending(first) = kv.read(1) else {
+        panic!("key 1 must be cold");
+    };
+    kv.rmw(2, |cur| {
+        assert_eq!(cur, Some(b"second".as_slice()));
+        b"third".to_vec()
+    });
+    assert_eq!(poll_for(&kv, first), Some(b"first".to_vec()));
+    assert_eq!(kv.read_blocking(2), Some(b"third".to_vec()));
 }
 
 /// The same oracle discipline over the full emulated Cowbird stack: the
