@@ -6,10 +6,10 @@ use std::collections::HashMap;
 
 use rdma::qp::{QpConfig, QpNum};
 use rdma::sim::SimNic;
-use rdma::verbs::{WorkRequest, WrOp};
+use rdma::verbs::{Completion, WorkRequest, WrOp};
 use simnet::sim::{Ctx, Node, NodeId, Packet};
-use simnet::stats::Histogram;
 use simnet::time::{Duration, Instant};
+use telemetry::Histogram;
 
 const TAG_ISSUE: u64 = 1;
 const TAG_NIC_TICK: u64 = 2;
@@ -52,6 +52,8 @@ pub struct RdmaClientNode {
     batch_left: usize,
     batch_t0: Instant,
     started_at: HashMap<u64, Instant>,
+    /// Completion scratch, reused across polls.
+    done: Vec<Completion>,
     pub latency: Histogram,
     pub done_at: Option<Instant>,
     /// Stop the whole simulation when target reached.
@@ -89,6 +91,7 @@ impl RdmaClientNode {
             batch_left: 0,
             batch_t0: Instant::ZERO,
             started_at: HashMap::new(),
+            done: Vec::new(),
             latency: Histogram::new(),
             done_at: None,
             stop_when_done: true,
@@ -190,7 +193,8 @@ impl Node for RdmaClientNode {
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
         self.nic.deliver(pkt, 1, ctx);
-        for c in self.nic.poll(64) {
+        self.nic.poll_into(64, &mut self.done);
+        for c in self.done.drain(..) {
             if let Some(t0) = self.started_at.remove(&c.wr_id) {
                 self.completed += 1;
                 self.latency.record(ctx.now().since(t0).nanos());

@@ -14,9 +14,8 @@ use rdma::qp::QpConfig;
 use rdma::sim::SimNic;
 use simnet::link::{LinkId, LinkParams};
 use simnet::sim::{Ctx, Node, NodeId, Packet, Sim};
-use simnet::stats::Histogram;
 use simnet::time::{Duration, Instant};
-use telemetry::{Component, EventKind, SloWatchdog, TailViolation, Telemetry};
+use telemetry::{Component, EventKind, Histogram, SloWatchdog, TailViolation, Telemetry};
 
 const TAG_POLL: u64 = 1;
 const TAG_NIC_TICK: u64 = 2;

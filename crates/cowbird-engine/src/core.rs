@@ -59,9 +59,9 @@ use cowbird::meta::{
 use cowbird::region::{RegionId, RegionMap};
 use cowbird::reqid::{OpType, ReqId};
 use p4rt::pktgen::PktGenConfig;
-use rdma::buf::{ArenaStats, BufArena, PoolBuf};
 use rdma::cost::CostModel;
 use rdma::mem::Rkey;
+use simnet::pool::{ArenaStats, BufArena, PoolBuf};
 use simnet::time::Duration;
 use telemetry::profile::Profiler;
 use telemetry::{Component, EventKind, Recorder};

@@ -28,7 +28,7 @@
 //!   shard's inbox. Migration is fencing-safe for the same reason standby
 //!   takeover is: the slot is exclusively owned by exactly one worker at
 //!   a time, and a fenced core is retired rather than moved.
-//! * **A recycled-buffer arena per shard** ([`rdma::buf::BufArena`], the
+//! * **A recycled-buffer arena per shard** ([`simnet::pool::BufArena`], the
 //!   software analogue of §5.3's packet recycling): every channel adopted
 //!   by a shard is rebound to the shard's arena, so a hot channel's
 //!   retired payload buffers immediately serve its neighbours.
@@ -45,7 +45,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cowbird::Doorbell;
-use rdma::buf::{ArenaStats, BufArena};
+use rdma::verbs::WorkRequest;
+use simnet::pool::{ArenaStats, BufArena};
 use telemetry::profile::{CostAccount, Phase};
 use telemetry::{Component, MetricsRegistry, Profiler};
 
@@ -223,6 +224,8 @@ struct GroupShared {
 struct ChannelSlot {
     slot: Slot,
     wiring: SpotWiring,
+    /// The emulated port's chain buffer, kept across passes.
+    run: Vec<WorkRequest>,
     next_probe_at: Instant,
     /// `reads_executed + writes_executed` at the last rebalance tick.
     last_executed: u64,
@@ -236,6 +239,7 @@ impl ChannelSlot {
         ChannelSlot {
             slot: Slot::emu(&wiring, cfg, false),
             wiring,
+            run: Vec::new(),
             next_probe_at: now,
             last_executed: 0,
             interval_ops: 0,
@@ -245,7 +249,7 @@ impl ChannelSlot {
     /// One non-blocking pass: probe if due, poll the CQ once, dispatch.
     /// Returns whether anything happened.
     fn pass(&mut self, now: Instant) -> bool {
-        let mut port = EmuPort::new(&self.wiring);
+        let mut port = EmuPort::new(&self.wiring, &mut self.run);
         let mut work = false;
         if now >= self.next_probe_at {
             work = self.slot.probe(&mut port);
@@ -596,7 +600,7 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
             me.counters.spins.fetch_add(1, Ordering::Relaxed);
             std::hint::spin_loop();
         } else if idle_streak <= park_threshold || inflight {
-            // Completions arrive from NIC service threads without ringing
+            // Completions arrive from the fabric's NICs without ringing
             // the doorbell, so a shard with ops in flight never parks.
             me.counters.yields.fetch_add(1, Ordering::Relaxed);
             std::thread::yield_now();

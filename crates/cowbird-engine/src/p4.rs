@@ -19,8 +19,8 @@
 use cowbird::meta::CHASE_PTR_MASK;
 use p4rt::register::{RegisterFile, SaluOp};
 use p4rt::spec::{MatchKind, PipelineSpec, RegisterSpec, StageSpec, TableSpec};
-use rdma::buf::PoolBuf;
 use rdma::wire::{Bth, Opcode, Reth, RocePacket};
+use simnet::pool::PoolBuf;
 
 /// Maximum Cowbird instances the switch program is provisioned for.
 pub const MAX_INSTANCES: u32 = 4096;

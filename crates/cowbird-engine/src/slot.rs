@@ -19,12 +19,12 @@ use std::mem;
 use cowbird::layout::{
     RedBlock, GREEN_CLIENT_EPOCH, GREEN_LEN, GREEN_OFFSET, RED_ENGINE_EPOCH, RED_LEN, RED_OFFSET,
 };
-use rdma::buf::PoolBuf;
 use rdma::mem::Rkey;
 use rdma::qp::QpNum;
 use rdma::sim::SimNic;
 use rdma::verbs::{Completion, WorkRequest, WrOp};
 use simnet::fasthash::FastHashMap;
+use simnet::pool::PoolBuf;
 use simnet::sim::Ctx;
 use telemetry::profile::Phase;
 use telemetry::Profiler;
@@ -79,25 +79,26 @@ impl FabricPort for SimPort<'_, '_> {
 pub(crate) struct EmuPort<'a> {
     wiring: &'a SpotWiring,
     run_qpn: QpNum,
-    run: Vec<WorkRequest>,
+    run: &'a mut Vec<WorkRequest>,
 }
 
 impl<'a> EmuPort<'a> {
-    pub fn new(wiring: &'a SpotWiring) -> EmuPort<'a> {
+    /// A port whose runs build in `run`, a buffer the shell keeps across
+    /// passes so a pass allocates nothing.
+    pub fn new(wiring: &'a SpotWiring, run: &'a mut Vec<WorkRequest>) -> EmuPort<'a> {
         EmuPort {
             wiring,
             run_qpn: wiring.compute_qpn,
-            run: Vec::new(),
+            run,
         }
     }
 
     /// Send the pending run.
     pub fn flush(&mut self) {
         if !self.run.is_empty() {
-            let run = mem::take(&mut self.run);
             self.wiring
                 .nic
-                .post_chain(self.run_qpn, run)
+                .post_chain(self.run_qpn, self.run.drain(..))
                 .expect("engine post");
         }
     }
@@ -564,8 +565,9 @@ mod tests {
             channel_rkey,
         };
         let mut slot = Slot::emu(&wiring, EngineConfig::spot(layout, regions, 16), false);
+        let mut run = Vec::new();
         let mut port = FailFirstPoolWrite {
-            inner: EmuPort::new(&wiring),
+            inner: EmuPort::new(&wiring, &mut run),
             pool_qpn,
             victim: None,
             failed: false,

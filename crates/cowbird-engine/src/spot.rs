@@ -213,8 +213,9 @@ const STOP_IDLE_PASSES: u32 = 10_000;
 /// before a probe showed it the fence.
 fn run(wiring: SpotWiring, cfg: EngineConfig, flags: Arc<Flags>, standby: bool) -> EngineStats {
     let mut slot = Slot::emu(&wiring, cfg, standby);
+    let mut run = Vec::new();
     if standby {
-        let mut port = EmuPort::new(&wiring);
+        let mut port = EmuPort::new(&wiring, &mut run);
         slot.begin_takeover(&mut port);
         port.flush();
     }
@@ -260,7 +261,7 @@ fn run(wiring: SpotWiring, cfg: EngineConfig, flags: Arc<Flags>, standby: bool) 
         // probe's completion is what re-runs the pending queue). Otherwise
         // probe at the maximum rate: emulated wall-clock sleeps at the
         // paper's 2 us granularity are unreliable.
-        let mut port = EmuPort::new(&wiring);
+        let mut port = EmuPort::new(&wiring, &mut run);
         let solicit = !(stop || pause || draining) || quiet;
         let probed = solicit && slot.probe(&mut port);
         let work = slot.poll(&mut port) || probed;

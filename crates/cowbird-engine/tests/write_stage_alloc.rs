@@ -19,8 +19,8 @@ use cowbird::channel::Channel;
 use cowbird::layout::ChannelLayout;
 use cowbird::region::{RegionMap, RemoteRegion};
 use cowbird_engine::{EngineConfig, EngineCore, FabricOp};
-use rdma::buf::BufArena;
 use rdma::mem::Region;
+use simnet::pool::BufArena;
 use telemetry::profile::{allocs_now, TallyAlloc};
 
 #[global_allocator]

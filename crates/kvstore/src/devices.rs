@@ -24,7 +24,7 @@ use cowbird::reqid::ReqId;
 use rdma::emu::EmuNic;
 use rdma::mem::Rkey;
 use rdma::qp::QpNum;
-use rdma::verbs::{WorkRequest, WrOp};
+use rdma::verbs::{self, WorkRequest, WrOp};
 
 use crate::device::{Completion, Device, Token};
 
@@ -258,6 +258,8 @@ pub struct RdmaDevice {
     mode: RdmaMode,
     /// In-flight WRs: their token, and whether they are reads.
     inflight: HashMap<u64, (Token, bool)>,
+    /// Verb completions, reused across polls.
+    polled: Vec<verbs::Completion>,
     ready: VecDeque<Completion>,
     next_wr: u64,
     next_token: Token,
@@ -278,6 +280,7 @@ impl RdmaDevice {
             pool_base,
             mode,
             inflight: HashMap::new(),
+            polled: Vec::new(),
             ready: VecDeque::new(),
             next_wr: 1,
             next_token: 1,
@@ -286,8 +289,7 @@ impl RdmaDevice {
 
     fn reap(&mut self, block_for: Option<u64>) {
         loop {
-            let got = self.nic.poll(64);
-            if got.is_empty() {
+            if self.nic.poll_into(64, &mut self.polled) == 0 {
                 match block_for {
                     Some(wr) if self.inflight.contains_key(&wr) => {
                         std::thread::yield_now();
@@ -296,7 +298,7 @@ impl RdmaDevice {
                     _ => break,
                 }
             }
-            for c in got {
+            for c in self.polled.drain(..) {
                 if let Some((token, read)) = self.inflight.remove(&c.wr_id) {
                     self.ready.push_back(Completion {
                         token,

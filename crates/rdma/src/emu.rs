@@ -1,32 +1,37 @@
 //! An RNIC emulated with real OS threads — the runnable substrate.
 //!
-//! Each [`EmuNic`] spawns a service thread that plays the role of the NIC's
-//! packet-processing engine: it receives encoded RoCE packets from other
-//! NICs over channels, executes one-sided operations directly against the
-//! registered [`Region`]s, and transmits responses — all **without any
-//! involvement from the host threads**. That asymmetry is the point: a
-//! Cowbird compute node's application threads only ever touch local memory,
-//! while its NIC services the offload engine's reads and writes of the
-//! request/response rings in the background, concurrently, just like real
-//! RDMA hardware would.
+//! The fabric runs one service thread that plays every NIC's packet engine:
+//! it takes RoCE frames off the wire, executes one-sided operations directly
+//! against the registered [`Region`]s and transmits responses, **without any
+//! involvement from the host threads**. That is the point: a Cowbird compute
+//! node's application threads only touch local memory, while its NIC serves
+//! the offload engine's reads and writes of the rings in the background.
 //!
-//! The channel "wire" is lossless and ordered, so Go-Back-N rarely fires
-//! here (the service thread still ticks its QPs for completeness); loss and
-//! reordering are exercised in the simulator instead.
+//! The NIC is the simulator's [`SimNic`], and the frames are the ones it
+//! sends there: owned, arena-recycled `simnet` packets, received through
+//! [`SimNic::receive`], so both fabrics share one codec, one integrity
+//! check and one set of drop counters. Time on this fabric is frozen at
+//! [`Instant::ZERO`], so Go-Back-N retransmit timers never fire here and no
+//! retransmission sweep runs; the channel wire is lossless, and loss
+//! recovery is exercised in the simulator instead.
+//!
+//! The wire is one FIFO: a frame sent after another is received after it,
+//! whichever NICs they address. So a thread that sees the completion the
+//! engine writes to the compute node sees the pool write posted before it.
+//! Real RoCE orders frames only within a QP (see DESIGN.md §6.1).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration as StdDuration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use simnet::sim::{NodeId, Packet};
 use simnet::time::Instant;
 
 use crate::mem::{Region, Rkey};
-use crate::qp::{Qp, QpConfig, QpError, QpNum};
-use crate::sim::SimNic;
+use crate::qp::{QpConfig, QpError, QpNum};
+use crate::sim::{NicOutput, SimNic};
 use crate::verbs::{Completion, WorkRequest};
 use crate::wire::RocePacket;
 
@@ -35,66 +40,63 @@ use crate::wire::RocePacket;
 pub struct NicId(pub u32);
 
 enum EmuMsg {
-    Packet(Vec<u8>),
+    /// A new NIC joins; frames addressed to its id reach it from here on.
+    Attach(Arc<NicShared>),
+    Packet(Packet),
     Shutdown,
 }
 
-#[derive(Default)]
-struct Router {
-    mailboxes: RwLock<HashMap<NicId, Sender<EmuMsg>>>,
+/// The protocol NIC and its reused scratch, behind the NIC's one mutex.
+/// `NodeId` slots in the NIC hold `NicId` values.
+struct NicState {
+    nic: SimNic,
+    out: NicOutput,
+    pkts: Vec<RocePacket>,
 }
 
-impl Router {
-    fn deliver(&self, dst: NicId, bytes: Vec<u8>) {
-        if let Some(tx) = self.mailboxes.read().get(&dst) {
-            // A closed mailbox means the NIC was shut down; drop the packet
-            // like a real network would.
-            let _ = tx.send(EmuMsg::Packet(bytes));
-        }
-    }
-}
-
-/// Interior state shared between host threads and the NIC service thread.
+/// Interior state shared between host threads and the fabric's service
+/// thread.
 struct NicShared {
-    /// The full protocol engine is reused from the simulator flavour; here
-    /// `NodeId` slots hold `NicId` values.
-    nic: Mutex<SimNic>,
-    router: Arc<Router>,
-    /// Two-sided receive payloads, per QP.
-    receives: Mutex<HashMap<QpNum, Vec<Vec<u8>>>>,
+    id: NicId,
+    state: Mutex<NicState>,
+    wire: Sender<EmuMsg>,
 }
 
 impl NicShared {
-    fn transmit(&self, emits: Vec<(simnet::sim::NodeId, RocePacket)>) {
-        for (dst, roce) in emits {
-            self.router.deliver(NicId(dst.0), roce.encode());
-        }
+    /// Transmit `roce` to `dst`, its payload buffer becoming the frame.
+    /// Called under the NIC lock; sending takes no NIC lock.
+    fn send(&self, nic: &SimNic, dst: NodeId, roce: RocePacket) {
+        let wire_size = roce.wire_size();
+        let frame = roce.into_frame(nic.buf_arena());
+        let src = NodeId(self.id.0);
+        // A closed wire means the fabric was shut down; drop the frame like
+        // a real network would.
+        let _ = self
+            .wire
+            .send(EmuMsg::Packet(Packet::new(src, dst, wire_size, frame)));
     }
 }
 
 /// Host-side handle to an emulated NIC. Clone freely across threads.
 #[derive(Clone)]
 pub struct EmuNic {
-    id: NicId,
     shared: Arc<NicShared>,
 }
 
 impl EmuNic {
     /// This NIC's fabric address.
     pub fn id(&self) -> NicId {
-        self.id
+        self.shared.id
     }
 
     /// Register a memory region; the NIC may now DMA into/out of it.
     pub fn register(&self, region: Region) -> Rkey {
-        self.shared.nic.lock().register(region)
+        self.with_nic(|nic| nic.register(region))
     }
 
-    /// Post a work request on a QP (host CPU path).
+    /// Post a work request on a QP (host CPU path): a chain of one.
     pub fn post(&self, qpn: QpNum, wr: WorkRequest) -> Result<(), QpError> {
-        let emits = self.shared.nic.lock().post(qpn, wr, Instant::ZERO)?;
-        self.shared.transmit(emits);
-        Ok(())
+        self.post_chain(qpn, [wr])
     }
 
     /// Post a chain of work requests on a QP with a single NIC-lock
@@ -102,80 +104,65 @@ impl EmuNic {
     /// the host pays for entering the NIC once, every WQE in the chain is
     /// built under that one entry, and the packets of the whole chain go
     /// out together.
-    pub fn post_chain(&self, qpn: QpNum, wrs: Vec<WorkRequest>) -> Result<(), QpError> {
-        let emits = self.shared.nic.lock().post_chain(qpn, wrs, Instant::ZERO)?;
-        self.shared.transmit(emits);
-        Ok(())
-    }
-
-    /// Poll the completion queue (host CPU path).
-    pub fn poll(&self, max: usize) -> Vec<Completion> {
-        self.shared.nic.lock().poll(max)
-    }
-
-    /// Like [`EmuNic::poll`], but appends into a caller-owned scratch
-    /// vector. Returns the number of completions appended.
-    pub fn poll_into(&self, max: usize, out: &mut Vec<Completion>) -> usize {
-        self.shared.nic.lock().poll_into(max, out)
-    }
-
-    /// Blockingly wait until `n` completions have been collected (test and
-    /// example convenience; spins with a yield like a real poller would).
-    pub fn poll_blocking(&self, n: usize) -> Vec<Completion> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let got = self.poll(n - out.len());
-            if got.is_empty() {
-                std::thread::yield_now();
-            } else {
-                out.extend(got);
+    pub fn post_chain(
+        &self,
+        qpn: QpNum,
+        wrs: impl IntoIterator<Item = WorkRequest>,
+    ) -> Result<(), QpError> {
+        let mut state = self.shared.state.lock();
+        let NicState { nic, pkts, .. } = &mut *state;
+        match nic.post_chain(qpn, wrs, Instant::ZERO, pkts) {
+            Ok(dst) => {
+                for roce in pkts.drain(..) {
+                    self.shared.send(nic, dst, roce);
+                }
+                Ok(())
+            }
+            Err(e) => {
+                pkts.clear();
+                Err(e)
             }
         }
-        out
     }
 
-    /// Drain two-sided receive payloads for a QP.
-    pub fn drain_receives(&self, qpn: QpNum) -> Vec<Vec<u8>> {
-        self.shared
-            .receives
-            .lock()
-            .get_mut(&qpn)
-            .map(std::mem::take)
-            .unwrap_or_default()
+    /// Poll the completion queue (host CPU path), appending into a
+    /// caller-owned scratch vector. Returns the number of completions
+    /// appended.
+    pub fn poll_into(&self, max: usize, out: &mut Vec<Completion>) -> usize {
+        self.with_nic(|nic| nic.poll_into(max, out))
     }
 
     /// Attach a telemetry recorder to the underlying NIC (flight recorder).
     pub fn set_recorder(&self, rec: telemetry::Recorder) {
-        self.shared.nic.lock().set_recorder(rec);
+        self.with_nic(|nic| nic.set_recorder(rec));
     }
 
     /// Attach a wall-clock cycle profiler to the underlying NIC: the host
-    /// verb paths ([`Self::post`], [`Self::poll`]) then charge their CPU
-    /// time to the NIC's attribution account.
+    /// verb paths ([`Self::post_chain`], [`Self::poll_into`]) then charge
+    /// their CPU time to the NIC's attribution account.
     pub fn set_profiler(&self, prof: telemetry::Profiler) {
-        self.shared.nic.lock().set_profiler(prof);
+        self.with_nic(|nic| nic.set_profiler(prof));
     }
 
     /// Revoke a registered rkey (pool-side fencing): subsequent verbs naming
     /// it are NAK'd, so a fenced engine's pool access fails closed. Returns
     /// whether the rkey was registered.
     pub fn revoke_rkey(&self, rkey: Rkey) -> bool {
-        self.shared.nic.lock().revoke_rkey(rkey)
+        self.with_nic(|nic| nic.revoke_rkey(rkey))
     }
 
     /// Direct access to the underlying protocol NIC (setup & inspection).
     pub fn with_nic<R>(&self, f: impl FnOnce(&mut SimNic) -> R) -> R {
-        f(&mut self.shared.nic.lock())
+        f(&mut self.shared.state.lock().nic)
     }
 }
 
 /// The emulated fabric: creates NICs and connects QPs between them.
 pub struct EmuFabric {
-    router: Arc<Router>,
-    threads: Vec<(NicId, JoinHandle<()>)>,
-    nics: Vec<EmuNic>,
+    wire: Sender<EmuMsg>,
+    service: Option<JoinHandle<()>>,
     next_nic: u32,
-    next_qpn: Arc<AtomicU32>,
+    next_qpn: AtomicU32,
 }
 
 impl Default for EmuFabric {
@@ -185,36 +172,38 @@ impl Default for EmuFabric {
 }
 
 impl EmuFabric {
+    /// An empty fabric with its service thread running.
     pub fn new() -> EmuFabric {
+        let (wire, rx) = channel();
+        let service = std::thread::Builder::new()
+            .name("emu-fabric".into())
+            .spawn(move || fabric_service(&rx))
+            .expect("spawn fabric thread");
         EmuFabric {
-            router: Arc::new(Router::default()),
-            threads: Vec::new(),
-            nics: Vec::new(),
+            wire,
+            service: Some(service),
             next_nic: 0,
-            next_qpn: Arc::new(AtomicU32::new(100)),
+            next_qpn: AtomicU32::new(100),
         }
     }
 
-    /// Create a NIC and start its service thread.
+    /// Create a NIC and attach it to the wire.
     pub fn add_nic(&mut self) -> EmuNic {
         let id = NicId(self.next_nic);
         self.next_nic += 1;
-        let (tx, rx) = unbounded();
-        self.router.mailboxes.write().insert(id, tx);
         let shared = Arc::new(NicShared {
-            nic: Mutex::new(SimNic::new()),
-            router: Arc::clone(&self.router),
-            receives: Mutex::new(HashMap::new()),
+            id,
+            state: Mutex::new(NicState {
+                nic: SimNic::new(),
+                out: NicOutput::default(),
+                pkts: Vec::new(),
+            }),
+            wire: self.wire.clone(),
         });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("emu-nic-{}", id.0))
-            .spawn(move || nic_service(thread_shared, rx))
-            .expect("spawn nic thread");
-        self.threads.push((id, handle));
-        let nic = EmuNic { id, shared };
-        self.nics.push(nic.clone());
-        nic
+        self.wire
+            .send(EmuMsg::Attach(Arc::clone(&shared)))
+            .expect("fabric thread is running");
+        EmuNic { shared }
     }
 
     /// Connect two NICs with a fresh QP pair; returns (qpn on a, qpn on b).
@@ -222,10 +211,10 @@ impl EmuFabric {
         let qa = self.next_qpn.fetch_add(1, Ordering::Relaxed);
         let qb = self.next_qpn.fetch_add(1, Ordering::Relaxed);
         a.with_nic(|nic| {
-            nic.create_qp(QpConfig::new(qa, qb), simnet::sim::NodeId(b.id.0));
+            nic.create_qp(QpConfig::new(qa, qb), NodeId(b.id().0));
         });
         b.with_nic(|nic| {
-            nic.create_qp(QpConfig::new(qb, qa), simnet::sim::NodeId(a.id.0));
+            nic.create_qp(QpConfig::new(qb, qa), NodeId(a.id().0));
         });
         (qa, qb)
     }
@@ -233,58 +222,58 @@ impl EmuFabric {
 
 impl Drop for EmuFabric {
     fn drop(&mut self) {
-        let boxes = self.router.mailboxes.write();
-        for (_, tx) in boxes.iter() {
-            let _ = tx.send(EmuMsg::Shutdown);
-        }
-        drop(boxes);
-        for (_, handle) in self.threads.drain(..) {
-            let _ = handle.join();
+        let _ = self.wire.send(EmuMsg::Shutdown);
+        if let Some(service) = self.service.take() {
+            let _ = service.join();
         }
     }
 }
 
-/// The NIC's packet engine loop.
-fn nic_service(shared: Arc<NicShared>, rx: Receiver<EmuMsg>) {
-    loop {
-        match rx.recv_timeout(StdDuration::from_millis(10)) {
-            Ok(EmuMsg::Packet(bytes)) => {
-                let out = {
-                    let mut nic = shared.nic.lock();
-                    match RocePacket::parse(&bytes) {
-                        Ok(roce) => nic.handle_roce(roce, Instant::ZERO),
-                        Err(_) => continue,
-                    }
-                };
-                if !out.receives.is_empty() {
-                    let mut rec = shared.receives.lock();
-                    for (qpn, payload) in out.receives {
-                        // The emu path hands receive payloads across threads;
-                        // copy out so the pooled buffer recycles immediately.
-                        rec.entry(qpn).or_default().push(payload.to_vec());
-                    }
-                }
-                shared.transmit(out.emit);
+/// The fabric's packet engine loop: block for the next frame, receive it
+/// through the addressed NIC's shared receive path and transmit what comes
+/// back. NIC ids index `nics`, as they are attached in id order. Two-sided
+/// receive payloads are dropped, as [`SimNic::deliver`] drops them.
+fn fabric_service(rx: &Receiver<EmuMsg>) {
+    let mut nics: Vec<Arc<NicShared>> = Vec::new();
+    while let Ok(msg) = rx.recv() {
+        let pkt = match msg {
+            EmuMsg::Attach(nic) => {
+                nics.push(nic);
+                continue;
             }
-            Ok(EmuMsg::Shutdown) => break,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                // Periodic retransmission sweep (rarely needed: the channel
-                // wire is lossless).
-                let emits = shared.nic.lock().tick(Instant::ZERO);
-                shared.transmit(emits);
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+            EmuMsg::Packet(pkt) => pkt,
+            EmuMsg::Shutdown => return,
+        };
+        // A frame for no attached NIC is dropped like a real network would.
+        let Some(shared) = nics.get(pkt.dst.0 as usize) else {
+            continue;
+        };
+        let mut state = shared.state.lock();
+        let NicState { nic, out, .. } = &mut *state;
+        nic.receive(pkt, Instant::ZERO, out);
+        for (dst, roce) in out.emit.drain(..) {
+            shared.send(nic, dst, roce);
         }
+        out.receives.clear();
     }
 }
-
-/// Convenience re-export so emu users need not know about `Qp` internals.
-pub type EmuQp = Qp;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verbs::{WrKind, WrOp};
+
+    /// Spin until `n` completions have been collected, yielding like a
+    /// real poller would.
+    fn poll_blocking(nic: &EmuNic, n: usize) -> Vec<Completion> {
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            if nic.poll_into(n - out.len(), &mut out) == 0 {
+                std::thread::yield_now();
+            }
+        }
+        out
+    }
 
     #[test]
     fn one_sided_read_between_threads() {
@@ -314,10 +303,38 @@ mod tests {
                 },
             )
             .unwrap();
-        let done = client.poll_blocking(1);
+        let done = poll_blocking(&client, 1);
         assert_eq!(done[0].wr_id, 42);
         assert!(done[0].is_ok());
         assert_eq!(local.read_vec(0, 13).unwrap(), b"emulated rdma");
+    }
+
+    #[test]
+    fn garbage_frame_is_dropped_by_the_shared_receive_path() {
+        let mut fabric = EmuFabric::new();
+        let client = fabric.add_nic();
+        let server = fabric.add_nic();
+        let (cq, _sq) = fabric.connect(&client, &server);
+        let remote = Region::new(64);
+        remote.write(0, b"intact").unwrap();
+        let rkey = server.register(remote);
+
+        let to_server = NodeId(server.id().0);
+        let garbage = Packet::new(NodeId(client.id().0), to_server, 64, vec![0xFF; 5]);
+        fabric.wire.send(EmuMsg::Packet(garbage)).unwrap();
+        let read = WrOp::ReadOwned {
+            remote_addr: 0,
+            remote_rkey: rkey,
+            len: 6,
+        };
+        client.post(cq, WorkRequest { wr_id: 7, op: read }).unwrap();
+        let done = poll_blocking(&client, 1);
+        assert!(done[0].is_ok());
+        assert_eq!(done[0].data, b"intact"[..]);
+        // The wire is FIFO: the garbage frame was received first.
+        let stats = server.with_nic(|nic| nic.stats);
+        assert_eq!(stats.rx_dropped_corrupt, 1);
+        assert_eq!(stats.rx_packets, 2, "the garbage frame, then the read");
     }
 
     #[test]
@@ -349,37 +366,46 @@ mod tests {
                 },
             )
             .unwrap();
-        let done = client.poll_blocking(1);
+        let done = poll_blocking(&client, 1);
         assert_eq!(done[0].kind, WrKind::Write);
-        // The server's host threads did nothing; the NIC thread wrote the
-        // bytes.
+        // The server's host threads did nothing; the fabric's service
+        // thread wrote the bytes.
         assert_eq!(remote.read_vec(100, 3000).unwrap(), data);
     }
 
     #[test]
-    fn two_sided_send_receives_on_peer() {
+    fn a_later_frame_to_another_nic_lands_after_an_earlier_one() {
+        // The engine's shape: a pool write, then a completion on another
+        // QP. Whoever sees the completion must see the pool write.
         let mut fabric = EmuFabric::new();
-        let a = fabric.add_nic();
-        let b = fabric.add_nic();
-        let (qa, qb) = fabric.connect(&a, &b);
-        a.post(
-            qa,
-            WorkRequest {
-                wr_id: 5,
-                op: WrOp::Send {
-                    payload: b"hello rpc".to_vec(),
-                },
-            },
-        )
-        .unwrap();
-        a.poll_blocking(1);
-        // The payload is on b now.
-        let mut got = b.drain_receives(qb);
-        while got.is_empty() {
-            std::thread::yield_now();
-            got = b.drain_receives(qb);
+        let [engine, pool, compute] = [(); 3].map(|_| fabric.add_nic());
+        let (to_pool, _) = fabric.connect(&engine, &pool);
+        let (to_compute, _) = fabric.connect(&engine, &compute);
+        let (pool_mem, done_mem) = (Region::new(64), Region::new(64));
+        let rkeys = [
+            pool.register(pool_mem.clone()),
+            compute.register(done_mem.clone()),
+        ];
+        let mut acks = Vec::new();
+        for round in 1..=200u64 {
+            let word = round.to_le_bytes();
+            for (qpn, remote_rkey) in [to_pool, to_compute].into_iter().zip(rkeys) {
+                let segments = vec![word.to_vec().into()];
+                let op = WrOp::WriteSg {
+                    remote_addr: 0,
+                    remote_rkey,
+                    segments,
+                };
+                engine.post(qpn, WorkRequest { wr_id: round, op }).unwrap();
+            }
+            while done_mem.read_vec(0, 8).unwrap() != word {
+                std::hint::spin_loop();
+            }
+            assert_eq!(pool_mem.read_vec(0, 8).unwrap(), word, "round {round}");
+            while acks.len() < 2 * round as usize {
+                engine.poll_into(2, &mut acks);
+            }
         }
-        assert_eq!(got, vec![b"hello rpc".to_vec()]);
     }
 
     #[test]
@@ -409,7 +435,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        // Drop the fabric immediately: service threads must terminate even
+        // Drop the fabric immediately: the service thread must terminate even
         // though completions may still be in flight.
         drop(fabric);
     }
@@ -446,7 +472,7 @@ mod tests {
             });
         }
         client.post_chain(cq, wrs).unwrap();
-        let done = client.poll_blocking(9);
+        let done = poll_blocking(&client, 9);
         // Chain order is completion order.
         assert_eq!(done[0].wr_id, 100);
         for (k, c) in done[1..].iter().enumerate() {
@@ -488,7 +514,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        let done = client.poll_blocking(256);
+        let done = poll_blocking(&client, 256);
         assert_eq!(done.len(), 256);
         for i in 0..256u64 {
             let mut buf = [0u8; 8];

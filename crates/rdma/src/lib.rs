@@ -20,11 +20,11 @@
 //!   poll).
 //! * [`sim`] — an RNIC as a passive state machine embeddable in a `simnet`
 //!   node (used by every performance experiment).
-//! * [`emu`] — an RNIC emulated with real OS threads and channels (used by
-//!   the runnable examples and integration tests; the "NIC" thread executes
-//!   one-sided ops against registered regions without involving the host).
+//! * [`emu`] — the same RNIC on real OS threads, frames carried between
+//!   them over channels (used by the runnable examples and integration
+//!   tests; the "NIC" thread executes one-sided ops against registered
+//!   regions without involving the host).
 
-pub mod buf;
 pub mod cost;
 pub mod emu;
 pub mod mem;
@@ -33,7 +33,6 @@ pub mod sim;
 pub mod verbs;
 pub mod wire;
 
-pub use buf::{ArenaStats, BufArena, PoolBuf};
 pub use cost::CostModel;
 pub use mem::{Region, RegionCatalog, Rkey};
 pub use qp::{Qp, QpEvent, QpNum};

@@ -20,9 +20,9 @@
 
 use std::collections::VecDeque;
 
+use simnet::pool::{BufArena, PoolBuf};
 use simnet::time::{Duration, Instant};
 
-use crate::buf::{BufArena, PoolBuf};
 use crate::mem::{MemError, Region, RegionCatalog};
 use crate::verbs::{Completion, CompletionStatus, WorkRequest, WrKind, WrOp};
 use crate::wire::{Aeth, Bth, Opcode, Reth, RocePacket, Syndrome, FRAME_HEADROOM};

@@ -3,8 +3,8 @@
 //! Every performance experiment gives each simulated machine (compute node,
 //! memory pool, spot VM) a [`SimNic`]: a bundle of queue pairs, a memory
 //! translation table and a completion queue. The owning `simnet::Node`
-//! forwards inbound packet payloads to [`SimNic::handle_payload`] and
-//! transmits whatever comes back; crucially, **none of this consumes any
+//! forwards inbound packets to [`SimNic::deliver`], which transmits
+//! whatever comes back; crucially, **none of this consumes any
 //! simulated host CPU** — exactly like a real RNIC executing one-sided
 //! operations — unless the host explicitly posts/polls, at which point the
 //! experiment charges [`crate::CostModel`] time to the calling thread.
@@ -12,12 +12,12 @@
 use simnet::fasthash::FastHashMap;
 
 use simnet::link::CORRUPT_FLAG;
+use simnet::pool::{BufArena, PoolBuf};
 use simnet::sim::{Ctx, NodeId, Packet};
 use simnet::time::Instant;
 use telemetry::profile::{Phase, Profiler};
 use telemetry::{Component, EventKind, Recorder};
 
-use crate::buf::{BufArena, PoolBuf};
 use crate::mem::{Region, RegionCatalog, Rkey};
 use crate::qp::{Qp, QpConfig, QpError, QpNum, QpOutput};
 use crate::verbs::{Completion, CompletionQueue, WorkRequest};
@@ -88,9 +88,6 @@ pub struct SimNic {
     /// Where each local QP's peer lives.
     peer_node: FastHashMap<QpNum, NodeId>,
     pub stats: NicStats,
-    /// Verify integrity (the iCRC stand-in). On — the default — means
-    /// corrupted packets are dropped silently, leaving recovery to GBN.
-    pub check_integrity: bool,
     /// Telemetry sink (disabled by default; one branch per event).
     rec: Recorder,
     /// Cycle-attribution sink for the verb paths (disabled by default; one
@@ -123,7 +120,6 @@ impl SimNic {
             qps: FastHashMap::default(),
             peer_node: FastHashMap::default(),
             stats: NicStats::default(),
-            check_integrity: true,
             rec: Recorder::disabled(),
             prof: Profiler::disabled(),
             arena: BufArena::new(NIC_ARENA_DEPTH),
@@ -133,8 +129,8 @@ impl SimNic {
         }
     }
 
-    /// The NIC's buffer arena (hit-rate observability; see
-    /// [`crate::buf::ArenaStats`]).
+    /// The NIC's buffer arena, which its outbound frames are built from
+    /// (hit-rate observability; see [`simnet::pool::ArenaStats`]).
     pub fn buf_arena(&self) -> &BufArena {
         &self.arena
     }
@@ -149,8 +145,8 @@ impl SimNic {
         &self.rec
     }
 
-    /// Attach a cycle profiler: the verb entry points ([`Self::post`],
-    /// [`Self::poll`]) then charge their CPU time to the NIC's account.
+    /// Attach a cycle profiler: the verb entry points ([`Self::post_chain`],
+    /// [`Self::poll_into`]) then charge their CPU time to the NIC's account.
     /// Disabled by default.
     pub fn set_profiler(&mut self, prof: Profiler) {
         self.prof = prof;
@@ -211,74 +207,39 @@ impl SimNic {
         self.qps.get_mut(&qpn)
     }
 
-    /// Host post: returns the packets to transmit (dst node included).
-    pub fn post(
-        &mut self,
-        qpn: QpNum,
-        wr: WorkRequest,
-        now: Instant,
-    ) -> Result<Vec<(NodeId, RocePacket)>, QpError> {
-        let mut pkts = Vec::new();
-        let peer = self.post_into(qpn, wr, now, &mut pkts)?;
-        Ok(pkts.into_iter().map(|p| (peer, p)).collect())
-    }
-
-    /// Like [`SimNic::post`], but appends the generated packets into a
-    /// caller-owned scratch and returns the peer node they are addressed
-    /// to (every packet of one WR goes to the same peer). Error paths
-    /// append nothing.
-    pub fn post_into(
-        &mut self,
-        qpn: QpNum,
-        wr: WorkRequest,
-        now: Instant,
-        out: &mut Vec<RocePacket>,
-    ) -> Result<NodeId, QpError> {
-        // Verb-cost attribution: the post path (WQE build + packetization)
-        // charges `PostWqe`. On the emulated fabric the scope measures wall
-        // time under the NIC lock; on the simulator it counts the verb and
-        // charges whatever virtual time the driver advanced (usually zero).
-        let _scope = self.prof.scope(Phase::PostWqe);
-        let peer = *self.peer_node.get(&qpn).expect("unknown qpn");
-        let qp = self.qps.get_mut(&qpn).expect("unknown qpn");
-        qp.post_into(wr, &self.catalog, now, out)?;
-        Ok(peer)
-    }
-
-    /// Host post of a WR *chain*: every work request is packetized under a
-    /// single `PostWqe` scope — the chained analogue of one lock acquisition
-    /// and one doorbell ring covering the whole linked list. WQEs are
-    /// enqueued in order on the same QP, so completion order matches chain
-    /// order exactly as on hardware.
+    /// Host post of a WR *chain* (a single WR is a chain of one): appends
+    /// the generated packets into a caller-owned scratch and returns the
+    /// peer node they are addressed to. Every work request is packetized
+    /// under a single `PostWqe` scope — the chained analogue of one lock
+    /// acquisition and one doorbell ring covering the whole linked list.
+    /// On the emulated fabric the scope measures wall time under the NIC
+    /// lock; on the simulator it counts the verb and charges whatever
+    /// virtual time the driver advanced (usually zero). WQEs are enqueued
+    /// in order on the same QP, so completion order matches chain order
+    /// exactly as on hardware.
     ///
     /// Fails atomically-per-WR: if WR `i` is rejected (queue full, bad
-    /// lkey), WRs `0..i` are already posted — mirroring `ibv_post_send`'s
-    /// `bad_wr` semantics. Our drivers treat any error as fatal for the
-    /// engine instance, so partial posting never leaks.
+    /// lkey), WRs `0..i` are already posted and their packets appended —
+    /// mirroring `ibv_post_send`'s `bad_wr` semantics. Our drivers treat
+    /// any error as fatal for the engine instance.
     pub fn post_chain(
         &mut self,
         qpn: QpNum,
-        wrs: Vec<WorkRequest>,
+        wrs: impl IntoIterator<Item = WorkRequest>,
         now: Instant,
-    ) -> Result<Vec<(NodeId, RocePacket)>, QpError> {
+        out: &mut Vec<RocePacket>,
+    ) -> Result<NodeId, QpError> {
         let _scope = self.prof.scope(Phase::PostWqe);
         let peer = *self.peer_node.get(&qpn).expect("unknown qpn");
         let qp = self.qps.get_mut(&qpn).expect("unknown qpn");
-        let mut pkts = Vec::new();
         for wr in wrs {
-            qp.post_into(wr, &self.catalog, now, &mut pkts)?;
+            qp.post_into(wr, &self.catalog, now, out)?;
         }
-        Ok(pkts.into_iter().map(|p| (peer, p)).collect())
+        Ok(peer)
     }
 
-    /// Host poll (charges one poll call in the CQ accounting).
-    pub fn poll(&mut self, max: usize) -> Vec<Completion> {
-        let _scope = self.prof.scope(Phase::PollCqe);
-        self.cq.poll(max)
-    }
-
-    /// Like [`SimNic::poll`], but appends into a caller-owned scratch
-    /// vector: the rig's per-packet completion reaps are allocation-free.
+    /// Host poll (charges one poll call in the CQ accounting): appends
+    /// into a caller-owned scratch vector, so reaps are allocation-free.
     /// Returns the number of completions appended.
     pub fn poll_into(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
         let _scope = self.prof.scope(Phase::PollCqe);
@@ -292,8 +253,8 @@ impl SimNic {
     /// and once on the way out (region to frame); an owned read's response
     /// is not touched at all — its frame buffer reaches the poster in the
     /// completion ([`crate::verbs::WrOp::ReadOwned`]). Two-sided receive
-    /// payloads are not surfaced here; a driver that wants them uses
-    /// [`SimNic::handle_packet_into`].
+    /// payloads are not surfaced here; a driver that wants them calls
+    /// [`SimNic::receive`].
     pub fn deliver(&mut self, pkt: Packet, prio: u8, ctx: &mut Ctx) {
         let mut out = std::mem::take(&mut self.out_scratch);
         self.receive(pkt, ctx.now(), &mut out);
@@ -315,7 +276,7 @@ impl SimNic {
         ctx: &mut Ctx,
     ) -> Result<(), QpError> {
         let mut pkts = std::mem::take(&mut self.tx_scratch);
-        let posted = self.post_into(qpn, wr, ctx.now(), &mut pkts);
+        let posted = self.post_chain(qpn, [wr], ctx.now(), &mut pkts);
         if let Ok(dst) = posted {
             for roce in pkts.drain(..) {
                 self.send(dst, roce, prio, ctx);
@@ -340,18 +301,10 @@ impl SimNic {
         ctx.send(Packet::new(ctx.node_id(), dst, wire_size, frame).with_prio(prio));
     }
 
-    /// Feed an inbound simnet packet (encoded RoCE payload).
-    pub fn handle_packet(&mut self, pkt: &Packet, now: Instant) -> NicOutput {
-        let mut out = NicOutput::default();
-        self.handle_packet_into(pkt, now, &mut out);
-        out
-    }
-
-    /// Like [`SimNic::handle_packet`], but appends into a caller-owned
-    /// scratch `NicOutput` ([`NicOutput::clear`] between deliveries): the
-    /// driver's per-packet output vectors are allocated once, not per call.
-    /// The by-reference twin of [`SimNic::deliver`]: it copies the frame
-    /// into an arena buffer to own it.
+    /// Feed an inbound simnet packet by reference, appending into a
+    /// caller-owned scratch `NicOutput` ([`NicOutput::clear`] between
+    /// deliveries). The by-reference twin of [`SimNic::receive`]: it copies
+    /// the frame into an arena buffer to own it.
     pub fn handle_packet_into(&mut self, pkt: &Packet, now: Instant, out: &mut NicOutput) {
         let owned = Packet {
             payload: self.arena.take_copy(&pkt.payload),
@@ -360,11 +313,15 @@ impl SimNic {
         self.receive(owned, now, out);
     }
 
-    fn receive(&mut self, pkt: Packet, now: Instant, out: &mut NicOutput) {
+    /// Receive an owned frame: parse it in place, execute it against this
+    /// NIC's QPs and memory, and append what comes back onto `out`. The
+    /// one receive path of both fabrics — [`SimNic::deliver`] and the
+    /// emulated fabric's service thread run it.
+    pub fn receive(&mut self, pkt: Packet, now: Instant, out: &mut NicOutput) {
         self.stats.rx_packets += 1;
         // iCRC failure (drop; Go-Back-N recovers) or a frame that does not
         // parse: both count as corrupt.
-        let corrupt = self.check_integrity && pkt.meta & CORRUPT_FLAG != 0;
+        let corrupt = pkt.meta & CORRUPT_FLAG != 0;
         match RocePacket::parse_frame(pkt.payload) {
             Ok(roce) if !corrupt => self.handle_roce_into(roce, now, out),
             _ => {
@@ -380,15 +337,8 @@ impl SimNic {
         }
     }
 
-    /// Feed an already-parsed RoCE packet.
-    pub fn handle_roce(&mut self, roce: RocePacket, now: Instant) -> NicOutput {
-        let mut out = NicOutput::default();
-        self.handle_roce_into(roce, now, &mut out);
-        out
-    }
-
-    /// Scratch-reuse twin of [`SimNic::handle_roce`]; appends onto `out`.
-    pub fn handle_roce_into(&mut self, mut roce: RocePacket, now: Instant, out: &mut NicOutput) {
+    /// Execute a parsed RoCE packet; appends onto `out`.
+    fn handle_roce_into(&mut self, mut roce: RocePacket, now: Instant, out: &mut NicOutput) {
         let qpn = roce.bth.dst_qp;
         let Some(qp) = self.qps.get_mut(&qpn) else {
             self.stats.rx_dropped_unroutable += 1;
@@ -437,30 +387,37 @@ mod tests {
     use super::*;
     use crate::verbs::WrOp;
 
-    /// Convert a RoCE packet into a simnet packet from `src` to `dst`.
-    fn to_sim_packet(src: NodeId, dst: NodeId, roce: &RocePacket, prio: u8) -> Packet {
-        Packet::new(src, dst, roce.wire_size(), roce.encode()).with_prio(prio)
+    /// Convert a RoCE packet into a simnet packet (the reference codec).
+    fn to_sim_packet(roce: &RocePacket) -> Packet {
+        Packet::new(NodeId(1), NodeId(0), roce.wire_size(), roce.encode())
+    }
+
+    /// Receive `pkt` on `nic`; returns the packets it transmits.
+    fn feed(nic: &mut SimNic, pkt: Packet) -> Vec<(NodeId, RocePacket)> {
+        let mut out = NicOutput::default();
+        nic.receive(pkt, Instant::ZERO, &mut out);
+        out.emit
+    }
+
+    /// Post `wr` on `qpn`; returns its packets, addressed to the peer.
+    fn post(nic: &mut SimNic, qpn: QpNum, wr: WorkRequest) -> Vec<(NodeId, RocePacket)> {
+        let mut pkts = Vec::new();
+        let peer = nic.post_chain(qpn, [wr], Instant::ZERO, &mut pkts).unwrap();
+        pkts.into_iter().map(|p| (peer, p)).collect()
+    }
+
+    fn poll(nic: &mut SimNic) -> Vec<Completion> {
+        let mut done = Vec::new();
+        nic.poll_into(16, &mut done);
+        done
     }
 
     /// Drive two SimNics against each other with a lossless in-test "wire".
-    fn pump(
-        a: &mut SimNic,
-        a_id: NodeId,
-        b: &mut SimNic,
-        b_id: NodeId,
-        start: Vec<(NodeId, RocePacket)>,
-    ) {
-        let now = Instant::ZERO;
-        let mut queue: Vec<(NodeId, RocePacket)> = start;
+    fn pump(a: &mut SimNic, a_id: NodeId, b: &mut SimNic, start: Vec<(NodeId, RocePacket)>) {
+        let mut queue = start;
         while let Some((dst, roce)) = queue.pop() {
-            let (nic, src) = if dst == a_id {
-                (&mut *a, a_id)
-            } else {
-                (&mut *b, b_id)
-            };
-            let pkt = to_sim_packet(if dst == a_id { b_id } else { a_id }, src, &roce, 0);
-            let out = nic.handle_packet(&pkt, now);
-            queue.extend(out.emit);
+            let nic = if dst == a_id { &mut *a } else { &mut *b };
+            queue.extend(feed(nic, to_sim_packet(&roce)));
         }
     }
 
@@ -478,24 +435,19 @@ mod tests {
         a.create_qp(QpConfig::new(10, 20), b_id);
         b.create_qp(QpConfig::new(20, 10), a_id);
 
-        let pkts = a
-            .post(
-                10,
-                WorkRequest {
-                    wr_id: 1,
-                    op: WrOp::Read {
-                        local_rkey: lkey,
-                        local_addr: 0,
-                        remote_addr: 64,
-                        remote_rkey: rkey,
-                        len: 7,
-                    },
-                },
-                Instant::ZERO,
-            )
-            .unwrap();
-        pump(&mut a, a_id, &mut b, b_id, pkts);
-        let done = a.poll(16);
+        let read = WorkRequest {
+            wr_id: 1,
+            op: WrOp::Read {
+                local_rkey: lkey,
+                local_addr: 0,
+                remote_addr: 64,
+                remote_rkey: rkey,
+                len: 7,
+            },
+        };
+        let pkts = post(&mut a, 10, read);
+        pump(&mut a, a_id, &mut b, pkts);
+        let done = poll(&mut a);
         assert_eq!(done.len(), 1);
         assert!(done[0].is_ok());
         assert_eq!(local.read_vec(0, 7).unwrap(), b"payload");
@@ -506,9 +458,8 @@ mod tests {
         let mut nic = SimNic::new();
         nic.create_qp(QpConfig::new(1, 2), NodeId(1));
         let roce = RocePacket::ack(1, 0, 0);
-        let pkt = to_sim_packet(NodeId(1), NodeId(0), &roce, 0).with_meta(CORRUPT_FLAG);
-        let out = nic.handle_packet(&pkt, Instant::ZERO);
-        assert!(out.emit.is_empty());
+        let pkt = to_sim_packet(&roce).with_meta(CORRUPT_FLAG);
+        assert!(feed(&mut nic, pkt).is_empty());
         assert_eq!(nic.stats.rx_dropped_corrupt, 1);
     }
 
@@ -516,8 +467,7 @@ mod tests {
     fn unroutable_qpn_is_counted() {
         let mut nic = SimNic::new();
         let roce = RocePacket::ack(99, 0, 0);
-        let pkt = to_sim_packet(NodeId(1), NodeId(0), &roce, 0);
-        nic.handle_packet(&pkt, Instant::ZERO);
+        feed(&mut nic, to_sim_packet(&roce));
         assert_eq!(nic.stats.rx_dropped_unroutable, 1);
     }
 
@@ -561,20 +511,18 @@ mod tests {
                 len: 6,
             },
         };
-        let mut to_b = a.post(10, write, Instant::ZERO).unwrap();
+        let mut to_b = post(&mut a, 10, write);
         for _ in 0..3 {
             let mut to_a = Vec::new();
             for (_, roce) in to_b.drain(..) {
-                let pkt = to_sim_packet(a_id, b_id, &roce, 0);
-                to_a.extend(b.handle_packet(&pkt, Instant::ZERO).emit);
+                to_a.extend(feed(&mut b, to_sim_packet(&roce)));
             }
             for (_, roce) in to_a {
-                let pkt = to_sim_packet(b_id, a_id, &roce, 0);
-                to_b.extend(a.handle_packet(&pkt, Instant::ZERO).emit);
+                to_b.extend(feed(&mut a, to_sim_packet(&roce)));
             }
         }
         assert!(
-            a.poll(16).is_empty(),
+            poll(&mut a).is_empty(),
             "revoked-rkey write must not complete"
         );
         assert!(b.qp(20).unwrap().counters.naks_tx >= 1);
@@ -589,8 +537,14 @@ mod tests {
     fn garbage_payload_is_dropped_not_panicking() {
         let mut nic = SimNic::new();
         let pkt = Packet::new(NodeId(1), NodeId(0), 64, vec![0xFF; 5]);
-        let out = nic.handle_packet(&pkt, Instant::ZERO);
-        assert!(out.emit.is_empty());
+        assert!(feed(&mut nic, pkt.clone()).is_empty());
         assert_eq!(nic.stats.rx_dropped_corrupt, 1);
+        // The by-reference path copies the frame and then takes the same
+        // receive path.
+        let mut out = NicOutput::default();
+        nic.handle_packet_into(&pkt, Instant::ZERO, &mut out);
+        assert!(out.emit.is_empty());
+        assert_eq!(nic.stats.rx_dropped_corrupt, 2);
+        assert_eq!(nic.stats.rx_packets, 2);
     }
 }

@@ -5,7 +5,8 @@
 //! poll a completion queue. The cost of doing just that — and nothing else —
 //! is what Cowbird eliminates from the compute node.
 
-use crate::buf::PoolBuf;
+use simnet::pool::PoolBuf;
+
 use crate::mem::Rkey;
 
 /// Operation kinds, for completions.
@@ -41,7 +42,7 @@ pub enum WrOp {
     },
     /// One-sided write of an inline buffer (used by offload engines that
     /// assemble payloads themselves, e.g. the Spot batch writer). The
-    /// payload is a [`PoolBuf`]: when borrowed from a [`crate::BufArena`]
+    /// payload is a [`PoolBuf`]: when borrowed from a [`simnet::pool::BufArena`]
     /// it is recycled once the WQE retires (paper §5.3's packet-recycling
     /// template), and plain `Vec<u8>` payloads still work via `.into()`.
     WriteInline {
@@ -181,7 +182,7 @@ impl Completion {
 
 /// A completion queue with poll-call accounting.
 ///
-/// `polls` counts *calls* to [`CompletionQueue::poll`] (each one costs
+/// `polls` counts *calls* to [`CompletionQueue::poll_into`] (each one costs
 /// `CostModel::rdma_poll()` of CPU), not entries returned — matching how the
 /// paper measures: "the latency is for a single check of the completion
 /// queue". Entries sit in a plain `Vec`: a poll that takes them all, the
@@ -209,17 +210,10 @@ impl CompletionQueue {
         self.entries.append(batch);
     }
 
-    /// Host side: drain up to `max` completions (one "poll call").
-    pub fn poll(&mut self, max: usize) -> Vec<Completion> {
-        let mut out = Vec::new();
-        self.poll_into(max, &mut out);
-        out
-    }
-
-    /// Like [`CompletionQueue::poll`], but appends into a caller-owned
-    /// scratch vector (cleared between polls by the caller): hot pollers
-    /// pay zero allocations per completion batch. Returns the number of
-    /// completions appended.
+    /// Host side: drain up to `max` completions (one "poll call") into a
+    /// caller-owned scratch vector (cleared between polls by the caller):
+    /// hot pollers pay zero allocations per completion batch. Returns the
+    /// number of completions appended.
     pub fn poll_into(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
         self.polls += 1;
         let n = self.entries.len().min(max);
@@ -249,7 +243,8 @@ mod tests {
     #[test]
     fn cq_poll_counts_calls_not_entries() {
         let mut cq = CompletionQueue::new();
-        assert!(cq.poll(16).is_empty());
+        let mut got = Vec::new();
+        assert_eq!(cq.poll_into(16, &mut got), 0);
         cq.push(Completion::ok(1, WrKind::Read));
         let mut batch = vec![
             Completion::ok(2, WrKind::Write),
@@ -257,10 +252,10 @@ mod tests {
         ];
         cq.push_all(&mut batch);
         assert!(batch.is_empty());
-        let got = cq.poll(2);
-        assert_eq!(got.len(), 2);
+        assert_eq!(cq.poll_into(2, &mut got), 2);
         assert_eq!((got[0].wr_id, got[1].wr_id), (1, 2));
-        assert_eq!(cq.poll(2)[0].wr_id, 3);
+        assert_eq!(cq.poll_into(2, &mut got), 1);
+        assert_eq!(got[2].wr_id, 3);
         assert_eq!(cq.polls, 3);
         assert_eq!(cq.completions_delivered, 3);
         assert!(cq.is_empty());

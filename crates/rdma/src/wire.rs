@@ -14,7 +14,7 @@
 
 use core::fmt;
 
-use crate::buf::{BufArena, PoolBuf};
+use simnet::pool::{BufArena, PoolBuf};
 
 /// Outer framing bytes present on every RoCEv2 packet: Ethernet (14) +
 /// IPv4 (20) + UDP (8) + iCRC (4) + Ethernet FCS (4).

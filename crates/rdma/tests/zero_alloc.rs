@@ -14,11 +14,11 @@
 //! file holds exactly one test: the quiet window is only meaningful while no
 //! sibling test thread is allocating.
 
-use rdma::buf::BufArena;
 use rdma::mem::{Region, RegionCatalog};
 use rdma::qp::{Qp, QpConfig, QpOutput};
 use rdma::verbs::{Completion, WorkRequest, WrOp};
 use rdma::wire::RocePacket;
+use simnet::pool::BufArena;
 use simnet::time::Instant;
 use telemetry::profile::{allocs_now, TallyAlloc};
 

@@ -68,7 +68,7 @@ pub use pool::{ArenaStats, BufArena, PoolBuf};
 pub use provenance::{EventOutcome, ProvenanceLog, ProvenanceRecord};
 pub use rng::Rng;
 pub use sim::{Ctx, Node, NodeId, Packet, Sim};
-pub use stats::{Histogram, Summary};
+pub use stats::Summary;
 pub use tcp::{TcpFlow, TcpSink};
 pub use time::{Duration, Instant};
 pub use wheel::TimerWheel;

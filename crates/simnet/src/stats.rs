@@ -1,13 +1,8 @@
-//! Streaming statistics: counters, summaries, and log-linear histograms.
+//! Streaming statistics: running summaries without stored samples.
 //!
-//! The latency experiments (Fig. 13) need medians and p99s over millions of
-//! samples without storing them. The log-linear [`Histogram`] now lives in
-//! the `cowbird-telemetry` crate so the metrics registry can aggregate the
-//! same type; it is re-exported here for its original callers. Values are
-//! grouped by magnitude, with 64 linear sub-buckets per power of two, giving
-//! a worst-case relative error of ~1.6%.
-
-pub use telemetry::Histogram;
+//! The log-linear histogram the latency experiments (Fig. 13) take medians
+//! and p99s from is [`telemetry::Histogram`], the type the metrics registry
+//! aggregates.
 
 /// Running min/max/mean/count without storing samples.
 #[derive(Clone, Debug, Default)]
@@ -86,13 +81,5 @@ mod tests {
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 5.0);
         assert!((s.mean() - 2.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_reexport_is_the_telemetry_type() {
-        let mut h = Histogram::new();
-        h.record(1_000_003);
-        let t: telemetry::Histogram = h;
-        assert_eq!(t.median(), 1_000_003);
     }
 }

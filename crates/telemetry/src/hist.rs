@@ -1,11 +1,10 @@
 //! Log-linear histogram (HdrHistogram-style), shared by the metrics
 //! registry and the latency experiments.
 //!
-//! This lived in `simnet::stats` originally; it moved here so the metrics
-//! registry can hold histograms without an upward dependency — `simnet`
-//! re-exports it, so `simnet::stats::Histogram` remains the same type.
-//! Values are grouped by magnitude with 64 linear sub-buckets per power of
-//! two, giving a worst-case relative error of ~1.6%.
+//! It lives in this crate so the metrics registry can hold histograms
+//! without an upward dependency. Values are grouped by magnitude with 64
+//! linear sub-buckets per power of two, giving a worst-case relative error
+//! of ~1.6%.
 
 use core::fmt;
 

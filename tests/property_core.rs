@@ -10,7 +10,7 @@ use cowbird::reqid::{OpType, ReqId};
 use rdma::mem::Region;
 use rdma::wire::{Aeth, AtomicEth, Bth, Opcode, Reth, RocePacket};
 use simnet::rng::Rng;
-use simnet::stats::Histogram;
+use telemetry::Histogram;
 use workloads::zipf::ZipfSampler;
 
 fn arb_opcode() -> impl Strategy<Value = Opcode> {
