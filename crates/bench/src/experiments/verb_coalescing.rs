@@ -11,8 +11,9 @@
 //! cost is monotone non-increasing in chain width, sits below the flat
 //! 6-verb floor, and drops ≥25% below the single-verb baseline by chain 8.
 //!
-//! The sweep drives [`EngineCore`] synchronously (a loopback fabric), so
-//! every verb counter is workload-determined and the asserts are CI-stable.
+//! The sweep drives [`EngineCore`] synchronously over the engine crate's
+//! [`Loopback`] fabric, so every verb counter is workload-determined and
+//! the asserts are CI-stable.
 //! A second table reruns the low-load (one outstanding op) packet-level rig
 //! with coalescing on vs off: completion moderation must not tax the
 //! quiescent path, so the p99 on/off ratio is bounded at 5%.
@@ -20,7 +21,8 @@
 use cowbird::channel::Channel;
 use cowbird::layout::ChannelLayout;
 use cowbird::region::{RegionMap, RemoteRegion};
-use cowbird_engine::{EngineConfig, EngineCore, FabricOp};
+use cowbird_engine::loopback::Loopback;
+use cowbird_engine::{EngineConfig, EngineCore};
 use rdma::cost::CostModel;
 use rdma::mem::Region;
 use simnet::time::{Duration, Instant};
@@ -62,60 +64,6 @@ impl Workload {
     }
 }
 
-/// Synchronous loopback fabric (same discipline as the engine's unit
-/// harness): FabricOps execute immediately against the channel and pool
-/// regions, completions feed straight back into the core.
-struct LoopDriver {
-    compute: Region,
-    pool: Region,
-}
-
-impl LoopDriver {
-    fn run(&self, core: &mut EngineCore, ops: Vec<FabricOp>) {
-        let mut queue = ops;
-        while !queue.is_empty() {
-            let mut next = Vec::new();
-            for op in queue {
-                match op {
-                    FabricOp::ReadCompute { offset, len, tag } => {
-                        let data = self.compute.read_vec(offset, len as usize).unwrap();
-                        next.extend(core.on_data(tag, &data));
-                    }
-                    FabricOp::WriteCompute { offset, data, tag } => {
-                        self.compute.write(offset, &data).unwrap();
-                        if tag != 0 {
-                            next.extend(core.on_data(tag, &[]));
-                        }
-                    }
-                    FabricOp::ReadPool { addr, len, tag, .. } => {
-                        let data = self.pool.read_vec(addr, len as usize).unwrap();
-                        next.extend(core.on_data(tag, &data));
-                    }
-                    FabricOp::WritePool { addr, data, .. } => {
-                        self.pool.write(addr, &data).unwrap();
-                    }
-                    FabricOp::ReadPoolSg { addr, parts, .. } => {
-                        let mut cursor = addr;
-                        for (len, tag) in parts {
-                            let data = self.pool.read_vec(cursor, len as usize).unwrap();
-                            cursor += u64::from(len);
-                            next.extend(core.on_data(tag, &data));
-                        }
-                    }
-                    FabricOp::WritePoolSg { addr, segments, .. } => {
-                        let mut cursor = addr;
-                        for seg in segments {
-                            self.pool.write(cursor, &seg).unwrap();
-                            cursor += seg.len() as u64;
-                        }
-                    }
-                }
-            }
-            queue = next;
-        }
-    }
-}
-
 struct SweepPoint {
     per_op_ns: f64,
     /// Average work requests per doorbell (chain length).
@@ -141,10 +89,7 @@ fn sweep(workload: Workload, chain: usize) -> SweepPoint {
     let mut ch = Channel::new(0, layout, regions.clone());
     let mut core =
         EngineCore::new(EngineConfig::spot(layout, regions, chain).with_coalesce_sge(chain));
-    let driver = LoopDriver {
-        compute: ch.region().clone(),
-        pool: Region::new(POOL_SIZE),
-    };
+    let mut driver = Loopback::new(ch.region().clone(), Region::new(POOL_SIZE));
     for slot in 0..(POOL_SIZE as u64 / REC) {
         driver.pool.write(slot * REC, &slot.to_le_bytes()).unwrap();
     }
@@ -179,8 +124,7 @@ fn sweep(workload: Workload, chain: usize) -> SweepPoint {
             }
             ops += 1;
         }
-        let probe = core.on_probe_due();
-        driver.run(&mut core, probe);
+        driver.probe(&mut core);
     }
     ch.refresh();
     assert_eq!(

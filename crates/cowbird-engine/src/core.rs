@@ -1,12 +1,14 @@
 //! The engine protocol core: Probe → Execute → Complete as a sans-IO state
 //! machine.
 //!
-//! The core never touches a NIC or a clock. Each entry point returns a list
-//! of [`FabricOp`] commands; the embedding driver (simulated switch node,
-//! spot-VM agent thread) turns them into RDMA operations and feeds results
-//! back through [`EngineCore::on_data`]. This mirrors how the same protocol
-//! runs on radically different hardware in the paper (§5 vs §6) — only the
-//! driver changes.
+//! The core never touches a NIC or a clock. Each entry point appends
+//! [`FabricOp`] commands to a caller-owned scratch vector; the embedding
+//! driver (simulated switch node, spot-VM agent thread, or the in-memory
+//! [`crate::loopback::Loopback`]) turns them into RDMA operations and feeds
+//! results back through [`EngineCore::on_landed_into`] (a read's landed
+//! buffer) or [`EngineCore::on_data_into`] (borrowed bytes). This mirrors how
+//! the same protocol runs on radically different hardware in the paper (§5
+//! vs §6) — only the driver changes.
 //!
 //! ## Protocol walk-through (paper §5.2)
 //!
@@ -107,8 +109,8 @@ pub struct EngineConfig {
     /// The recycled-buffer arena op payloads are borrowed from (paper §5.3's
     /// packet-recycling template in software). Every config gets a private
     /// arena by default; a polling group shares one arena per shard across
-    /// its channels via [`EngineConfig::with_arena`] so a hot channel's
-    /// buffers serve its neighbours too.
+    /// its channels via [`EngineCore::set_arena`] so a hot channel's buffers
+    /// serve its neighbours too.
     pub arena: BufArena,
     /// Maximum scatter-gather elements per coalesced pool verb. `1` turns
     /// the coalescing pipeline off entirely — no SG merging, no chained
@@ -208,14 +210,6 @@ impl EngineConfig {
         self
     }
 
-    /// Share a buffer arena with other engines (one arena per polling-group
-    /// shard: channels that migrate between shards bring no buffers along,
-    /// they just borrow from the new shard's pool).
-    pub fn with_arena(mut self, arena: BufArena) -> EngineConfig {
-        self.arena = arena;
-        self
-    }
-
     /// Cap coalesced pool verbs at `n` scatter-gather elements. `1`
     /// disables the coalescing pipeline (SG merging, chain accounting and
     /// red-write moderation); values are clamped to at least 1.
@@ -254,9 +248,10 @@ pub enum FabricOp {
     /// One-sided write into the channel region on the compute node. A zero
     /// `tag` is fire-and-forget; a non-zero tag means the core needs the
     /// completion (delivery acknowledgment) fed back via
-    /// [`EngineCore::on_data`] with an empty payload — red-block publishes
-    /// carry one so the core can track what is *durably* committed in
-    /// client memory, which gates conflicting pool writes across a crash.
+    /// [`EngineCore::on_data_into`] with an empty payload — red-block
+    /// publishes carry one so the core can track what is *durably*
+    /// committed in client memory, which gates conflicting pool writes
+    /// across a crash.
     ///
     /// `data` is borrowed from the engine's [`BufArena`]: the driver hands
     /// it to the NIC (inline write), and its drop at WQE retirement recycles
@@ -281,8 +276,8 @@ pub enum FabricOp {
     },
     /// Coalesced pool read: one SG verb covering `parts` adjacent reads of
     /// a contiguous remote range starting at `addr`. Each `(len, tag)` part
-    /// must be completed (in order) via [`EngineCore::on_data`] with its
-    /// slice of the payload — the driver scatters one wire response back
+    /// must be completed (in order) via [`EngineCore::on_data_into`] with
+    /// its slice of the payload — the driver scatters one wire response back
     /// into per-request completions. Produced by the coalescing pass from
     /// runs of contiguous [`FabricOp::ReadPool`] ops; never emitted when
     /// `coalesce_sge <= 1`.
@@ -704,7 +699,7 @@ pub struct EngineCore {
     // Outstanding pool reads (for quiescent batch flush).
     pool_reads_in_flight: usize,
     /// Outstanding write-payload fetches on the compute QP. Each one is a
-    /// guaranteed future `on_data`, so both the write stage and red-block
+    /// guaranteed future completion, so both the write stage and red-block
     /// moderation may defer against this count without stranding.
     write_payloads_in_flight: usize,
     /// Pool writes whose payloads arrived and whose barriers are satisfied,
@@ -929,18 +924,11 @@ impl EngineCore {
         });
     }
 
-    /// Phase II trigger: a probe timer fired. Emits the green-block read
+    /// Phase II trigger: a probe timer fired. Appends the green-block read
     /// (unless one is already outstanding) and, on the readback cadence,
-    /// the in-band telemetry snapshot write.
-    pub fn on_probe_due(&mut self) -> Vec<FabricOp> {
-        let mut out = Vec::new();
-        self.on_probe_due_into(&mut out);
-        out
-    }
-
-    /// Like [`EngineCore::on_probe_due`], but appends into a caller-owned
-    /// scratch vector (cleared by the caller between calls): the probe
-    /// timer path allocates nothing in steady state.
+    /// the in-band telemetry snapshot write to a caller-owned scratch
+    /// vector (cleared by the caller between calls): the probe timer path
+    /// allocates nothing in steady state.
     pub fn on_probe_due_into(&mut self, out: &mut Vec<FabricOp>) {
         if self.fenced {
             return;
@@ -961,18 +949,13 @@ impl EngineCore {
         self.account_chains(out);
     }
 
-    /// A fabric read completed; `data` is its payload.
-    pub fn on_data(&mut self, tag: u64, data: &[u8]) -> Vec<FabricOp> {
-        let mut out = Vec::new();
-        self.on_data_into(tag, data, &mut out);
-        out
-    }
-
-    /// Like [`EngineCore::on_data`], but appends into a caller-owned
-    /// scratch vector: the hot data-completion path allocates nothing in
-    /// steady state. `out` must arrive empty (the fence path clears it —
-    /// nothing staged before the fence may reach the fabric, and the core
-    /// cannot distinguish its own staging from a caller's carry-over).
+    /// A fabric op completed: `data` is a read's payload, or empty for a
+    /// tagged write's delivery acknowledgment. Appends the follow-up ops to
+    /// a caller-owned scratch vector, so the hot data-completion path
+    /// allocates nothing in steady state. `out` must arrive empty (the
+    /// fence path clears it — nothing staged before the fence may reach the
+    /// fabric, and the core cannot distinguish its own staging from a
+    /// caller's carry-over).
     pub fn on_data_into(&mut self, tag: u64, data: &[u8], out: &mut Vec<FabricOp>) {
         self.dispatch(tag, Payload::Borrowed(data), out);
     }
@@ -1540,7 +1523,7 @@ impl EngineCore {
 
     /// One pool access of the active chase. Counts toward
     /// `pool_reads_in_flight` so batching quiescence and red-write
-    /// moderation see it as the guaranteed future `on_data` it is.
+    /// moderation see it as the guaranteed future completion it is.
     fn emit_chase_read(&mut self, off: u64, len: u32, out: &mut Vec<FabricOp>) {
         let ac = self.active_chase.as_ref().expect("chase active");
         let (rkey, addr) = (ac.rkey, ac.region_base + off);
@@ -1635,7 +1618,7 @@ impl EngineCore {
         self.emit_chase_read(target, len, out);
     }
 
-    /// Retry a parked chase. Runs after the write path of every `on_data`
+    /// Retry a parked chase. Runs after the write path of every completion
     /// pass: gate entries only leave via `emit_pool_write` (or the red
     /// commit releasing a held write), both of which precede this in the
     /// post-handling sequence — so the park can never strand.
@@ -1772,7 +1755,7 @@ impl EngineCore {
 
     /// Flush the staged writes. When `force` is false, flush only once no
     /// more payloads are in flight (each outstanding fetch is a guaranteed
-    /// future `on_data` that re-runs this check, so staging never strands a
+    /// future completion that re-runs this check, so staging never strands a
     /// write) — the same quiescence discipline as the read-response batch.
     fn maybe_flush_writes(&mut self, out: &mut Vec<FabricOp>, force: bool) {
         if self.write_stage.is_empty() {
@@ -1937,15 +1920,15 @@ impl EngineCore {
     /// the current backlog, never more than a batch — and skipped entirely
     /// when the engine is quiescent, so a lone low-load request still gets
     /// its completion on the first flush (no p99 regression at inflight 1).
-    /// `force` bypasses moderation (adoption handoff, explicit
-    /// [`EngineCore::red_update`]).
+    /// `force` bypasses moderation (the adoption handoff in
+    /// [`EngineCore::adopt_from_red`]).
     fn flush_red(&mut self, out: &mut Vec<FabricOp>, force: bool) {
         if !self.red_dirty {
             return;
         }
         if !force && self.cfg.coalescing() {
             // Defer only while pool reads or write-payload fetches are
-            // outstanding: each one is a guaranteed future `on_data` that
+            // outstanding: each one is a guaranteed future completion that
             // re-runs this flush, so the deferred red can never strand (a
             // held write waiting on a red commit always gets its publish
             // once the in-flight run drains).
@@ -2074,9 +2057,12 @@ impl EngineCore {
     /// committed red block, as read back from the client region. Rewinds to
     /// the persisted floor and runs at `predecessor_epoch + 1`, so the first
     /// red publish simultaneously announces the takeover to the client and
-    /// out-epochs any zombie still writing. Returns the new epoch, or `None`
-    /// if `red_bytes` is not a full red block.
-    pub fn adopt_from_red(&mut self, red_bytes: &[u8]) -> Option<u64> {
+    /// out-epochs any zombie still writing. That publish goes out at once,
+    /// appended to `out` (which must arrive empty), so the client sees the
+    /// takeover without waiting for request traffic. Returns the new epoch,
+    /// or `None` (emitting nothing) if `red_bytes` is not a full red block.
+    pub fn adopt_from_red(&mut self, red_bytes: &[u8], out: &mut Vec<FabricOp>) -> Option<u64> {
+        debug_assert!(out.is_empty(), "the op scratch must arrive empty");
         let red = RedBlock::decode(red_bytes)?;
         self.read_progress = red.read_progress;
         self.write_progress = red.write_progress;
@@ -2105,6 +2091,8 @@ impl EngineCore {
         self.rewind_to_floor();
         self.stats.adoptions += 1;
         self.rec(EventKind::Adopted, 0, self.epoch, red.floor_idx);
+        self.flush_red(out, true);
+        self.account_chains(out);
         Some(self.epoch)
     }
 
@@ -2120,20 +2108,6 @@ impl EngineCore {
     pub fn note_election_lost(&mut self, bid: u64, observed: u64) {
         self.stats.elections_lost += 1;
         self.rec(EventKind::ElectionLost, 0, bid, observed);
-    }
-
-    /// Force a red-block publish (used by a standby right after adoption so
-    /// the client observes the new epoch without waiting for request
-    /// traffic). Emits nothing once fenced.
-    pub fn red_update(&mut self) -> Vec<FabricOp> {
-        if self.fenced {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        self.red_dirty = true;
-        self.flush_red(&mut out, true);
-        self.account_chains(&out);
-        out
     }
 
     /// This engine's epoch (published in every red block).
@@ -2168,75 +2142,13 @@ impl EngineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loopback::Loopback;
     use cowbird::channel::Channel;
     use cowbird::layout::ChannelLayout;
     use cowbird::region::{RegionMap, RemoteRegion};
     use rdma::mem::Region;
 
-    /// A loopback driver: executes FabricOps directly against a client
-    /// channel region and a pool region, synchronously.
-    struct LoopDriver {
-        compute: Region,
-        pool: Region,
-    }
-
-    impl LoopDriver {
-        fn run(&self, core: &mut EngineCore, ops: Vec<FabricOp>) {
-            let mut queue = ops;
-            while !queue.is_empty() {
-                let mut next = Vec::new();
-                for op in queue {
-                    match op {
-                        FabricOp::ReadCompute { offset, len, tag } => {
-                            let data = self.compute.read_vec(offset, len as usize).unwrap();
-                            next.extend(core.on_data(tag, &data));
-                        }
-                        FabricOp::WriteCompute { offset, data, tag } => {
-                            self.compute.write(offset, &data).unwrap();
-                            // Synchronous fabric: delivery acknowledgments
-                            // are immediate.
-                            if tag != 0 {
-                                next.extend(core.on_data(tag, &[]));
-                            }
-                        }
-                        FabricOp::ReadPool { addr, len, tag, .. } => {
-                            let data = self.pool.read_vec(addr, len as usize).unwrap();
-                            next.extend(core.on_data(tag, &data));
-                        }
-                        FabricOp::WritePool { addr, data, .. } => {
-                            self.pool.write(addr, &data).unwrap();
-                        }
-                        FabricOp::ReadPoolSg { addr, parts, .. } => {
-                            // One SG verb on the wire; the driver scatters
-                            // the contiguous payload back into per-part
-                            // completions, in order.
-                            let mut cursor = addr;
-                            for (len, tag) in parts {
-                                let data = self.pool.read_vec(cursor, len as usize).unwrap();
-                                cursor += u64::from(len);
-                                next.extend(core.on_data(tag, &data));
-                            }
-                        }
-                        FabricOp::WritePoolSg { addr, segments, .. } => {
-                            let mut cursor = addr;
-                            for seg in segments {
-                                self.pool.write(cursor, &seg).unwrap();
-                                cursor += seg.len() as u64;
-                            }
-                        }
-                    }
-                }
-                queue = next;
-            }
-        }
-
-        fn probe(&self, core: &mut EngineCore) {
-            let ops = core.on_probe_due();
-            self.run(core, ops);
-        }
-    }
-
-    fn setup(variant: EngineVariant, batch: usize) -> (Channel, EngineCore, LoopDriver) {
+    fn setup(variant: EngineVariant, batch: usize) -> (Channel, EngineCore, Loopback) {
         let mut regions = RegionMap::new();
         regions.insert(
             1,
@@ -2253,16 +2165,13 @@ mod tests {
             EngineVariant::Spot => EngineConfig::spot(layout, regions, batch),
         };
         let core = EngineCore::new(cfg);
-        let driver = LoopDriver {
-            compute: ch.region().clone(),
-            pool: Region::new(1 << 16),
-        };
+        let driver = Loopback::new(ch.region().clone(), Region::new(1 << 16));
         (ch, core, driver)
     }
 
     #[test]
     fn probe_empty_channel_finds_nothing() {
-        let (_ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (_ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         driver.probe(&mut core);
         assert_eq!(core.stats.probes_sent, 1);
         assert_eq!(core.stats.probes_found_work, 0);
@@ -2272,13 +2181,13 @@ mod tests {
     #[test]
     fn telemetry_readback_exports_on_cadence_without_client_verbs() {
         use cowbird::layout::{TelemetrySnapshot, TELEM_LEN};
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         let mut core2 = EngineCore::new(core.config().clone().with_telemetry_export(4));
         std::mem::swap(&mut core, &mut core2);
         core.set_shard_hint(3, 11);
         driver.pool.write(0, b"AAAAAAAA").unwrap();
         let layout = core.config().layout;
-        let telem = |d: &LoopDriver| {
+        let telem = |d: &Loopback| {
             let raw = d
                 .compute
                 .read_vec(layout.telem_offset(), TELEM_LEN as usize)
@@ -2314,7 +2223,7 @@ mod tests {
 
     #[test]
     fn read_request_round_trips() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         driver.pool.write(100, b"hello pool").unwrap();
         let h = ch.async_read(1, 100, 10).unwrap();
         driver.probe(&mut core);
@@ -2326,7 +2235,7 @@ mod tests {
 
     #[test]
     fn write_request_round_trips() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::P4, 1);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::P4, 1);
         let id = ch.async_write(1, 200, b"write me").unwrap();
         driver.probe(&mut core);
         assert!(ch.is_complete(id));
@@ -2336,7 +2245,7 @@ mod tests {
 
     #[test]
     fn write_after_read_same_address_held_until_read_commit() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         driver.pool.write(0, b"OLD!").unwrap();
         let r = ch.async_read(1, 0, 4).unwrap();
         let w = ch.async_write(1, 0, b"NEW!").unwrap();
@@ -2354,7 +2263,7 @@ mod tests {
     #[test]
     fn p4_holds_any_write_behind_uncommitted_reads_spot_only_overlaps() {
         // Spot range-matches: a non-overlapping write is not deferred.
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         let _r = ch.async_read(1, 0, 4).unwrap();
         let w = ch.async_write(1, 512, b"far").unwrap();
         driver.probe(&mut core);
@@ -2363,7 +2272,7 @@ mod tests {
 
         // P4 cannot range-match: every write waits for the reads parsed
         // before it to commit.
-        let (mut ch, mut core, driver) = setup(EngineVariant::P4, 1);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::P4, 1);
         let _r = ch.async_read(1, 0, 4).unwrap();
         let w = ch.async_write(1, 512, b"far").unwrap();
         driver.probe(&mut core);
@@ -2373,7 +2282,7 @@ mod tests {
 
     #[test]
     fn read_after_write_same_address_sees_new_data() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         driver.pool.write(0, b"OLD!").unwrap();
         let w = ch.async_write(1, 0, b"NEW!").unwrap();
         let r = ch.async_read(1, 0, 4).unwrap();
@@ -2385,7 +2294,7 @@ mod tests {
 
     #[test]
     fn batching_coalesces_contiguous_responses() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 100);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 100);
         for i in 0..10u64 {
             driver.pool.write(i * 8, &i.to_le_bytes()).unwrap();
         }
@@ -2408,7 +2317,7 @@ mod tests {
 
     #[test]
     fn contiguous_pool_reads_coalesce_into_one_sg_verb() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 100);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 100);
         for i in 0..10u64 {
             driver.pool.write(i * 8, &i.to_le_bytes()).unwrap();
         }
@@ -2436,7 +2345,7 @@ mod tests {
 
     #[test]
     fn sg_width_cap_splits_long_runs() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 100);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 100);
         let mut core2 = EngineCore::new(core.config().clone().with_coalesce_sge(4));
         std::mem::swap(&mut core, &mut core2);
         for i in 0..20u64 {
@@ -2457,47 +2366,26 @@ mod tests {
 
     #[test]
     fn released_held_writes_gather_into_one_sg_verb() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         let r = ch.async_read(1, 0, 16).unwrap();
         ch.async_write(1, 0, b"AAAAAAAA").unwrap();
         ch.async_write(1, 8, b"BBBBBBBB").unwrap();
 
-        let ops = core.on_probe_due();
-        let FabricOp::ReadCompute { offset, len, tag } = ops[0].clone() else {
-            panic!()
-        };
-        let green = driver.compute.read_vec(offset, len as usize).unwrap();
-        let ops = core.on_data(tag, &green);
-        let FabricOp::ReadCompute { offset, len, tag } = ops[0].clone() else {
-            panic!()
-        };
-        let meta = driver.compute.read_vec(offset, len as usize).unwrap();
-        let mut ops = core.on_data(tag, &meta);
+        let mut ops = probe_to_meta(&mut core, &mut driver);
         // ops[0] reads the pool for `r`; the rest fetch the write
         // payloads. Deliver both payloads while the read is still in
         // flight so the write-after-read barrier holds both writes.
-        let FabricOp::ReadPool {
-            addr,
-            len,
-            tag: rtag,
-            ..
-        } = ops.remove(0)
-        else {
-            panic!()
-        };
+        let read = ops.remove(0);
+        assert!(matches!(read, FabricOp::ReadPool { .. }));
         let mut later = Vec::new();
         for op in ops {
-            let FabricOp::ReadCompute { offset, len, tag } = op else {
-                panic!()
-            };
-            let payload = driver.compute.read_vec(offset, len as usize).unwrap();
-            later.extend(core.on_data(tag, &payload));
+            assert!(matches!(op, FabricOp::ReadCompute { .. }));
+            driver.exec(&mut core, op, &mut later);
         }
         assert_eq!(core.stats.writes_held, 2);
         // The read completes: its red commit releases both writes in one
         // emission, where they gather into a single SG pool verb.
-        let data = driver.pool.read_vec(addr, len as usize).unwrap();
-        later.extend(core.on_data(rtag, &data));
+        driver.exec(&mut core, read, &mut later);
         driver.run(&mut core, later);
         assert!(ch.is_complete(r.id));
         assert_eq!(driver.pool.read_vec(0, 16).unwrap(), b"AAAAAAAABBBBBBBB");
@@ -2507,7 +2395,7 @@ mod tests {
 
     #[test]
     fn moderation_covers_a_read_run_with_one_red_publish() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 100);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 100);
         for i in 0..10u64 {
             driver.pool.write(i * 8, &i.to_le_bytes()).unwrap();
         }
@@ -2525,7 +2413,7 @@ mod tests {
 
     #[test]
     fn moderation_never_delays_a_quiescent_completion() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         driver.pool.write(0, b"AAAAAAAA").unwrap();
         let h = ch.async_read(1, 0, 8).unwrap();
         driver.probe(&mut core);
@@ -2538,7 +2426,7 @@ mod tests {
 
     #[test]
     fn coalescing_disabled_posts_one_verb_per_op() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 100);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 100);
         let mut core2 = EngineCore::new(core.config().clone().with_coalesce_sge(1));
         std::mem::swap(&mut core, &mut core2);
         for i in 0..10u64 {
@@ -2558,7 +2446,7 @@ mod tests {
 
     #[test]
     fn p4_variant_never_batches() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::P4, 100);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::P4, 100);
         for i in 0..5u64 {
             ch.async_read(1, i * 8, 8).unwrap();
         }
@@ -2569,7 +2457,7 @@ mod tests {
 
     #[test]
     fn many_rounds_with_ring_wrap() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 4);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 4);
         for round in 0..5000u64 {
             let h = ch.async_read(1, (round % 100) * 8, 8).unwrap();
             let w = ch
@@ -2591,7 +2479,7 @@ mod tests {
         // 1032) pauses on P4 (no range queries in the data plane) but not
         // on Spot.
         for (variant, expect_pause) in [(EngineVariant::P4, true), (EngineVariant::Spot, false)] {
-            let (mut ch, mut core, driver) = setup(variant, 1);
+            let (mut ch, mut core, mut driver) = setup(variant, 1);
             driver.pool.write(1024, b"DISJOINT").unwrap();
             ch.async_write(1, 0, b"busywrite").unwrap();
             let h = ch.async_read(1, 1024, 8).unwrap();
@@ -2610,7 +2498,7 @@ mod tests {
         }
         // And both variants pause on a genuine overlap.
         for variant in [EngineVariant::P4, EngineVariant::Spot] {
-            let (mut ch, mut core, driver) = setup(variant, 1);
+            let (mut ch, mut core, mut driver) = setup(variant, 1);
             ch.async_write(1, 0, b"AAAAAAAA").unwrap();
             let h = ch.async_read(1, 0, 8).unwrap();
             driver.probe(&mut core);
@@ -2625,7 +2513,7 @@ mod tests {
 
     #[test]
     fn gbn_reset_reexecutes_uncommitted_requests_exactly_once() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 1);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 1);
         driver.pool.write(0, b"AAAAAAAA").unwrap();
         driver.pool.write(64, b"BBBBBBBB").unwrap();
         driver.pool.write(128, b"CCCCCCCC").unwrap();
@@ -2634,27 +2522,13 @@ mod tests {
         let h3 = ch.async_read(1, 128, 8).unwrap();
 
         // Run the probe but simulate losing everything after the first
-        // read completes: deliver ops selectively.
-        let ops = core.on_probe_due();
-        // ops[0] is the green read; execute it by hand.
-        let FabricOp::ReadCompute { offset, len, tag } = ops[0].clone() else {
-            panic!()
-        };
-        let green = driver.compute.read_vec(offset, len as usize).unwrap();
-        let ops = core.on_data(tag, &green);
-        // Metadata fetch next.
-        let FabricOp::ReadCompute { offset, len, tag } = ops[0].clone() else {
-            panic!()
-        };
-        let meta = driver.compute.read_vec(offset, len as usize).unwrap();
-        let ops = core.on_data(tag, &meta);
-        // Three pool reads issued; deliver only the FIRST, then "crash".
-        let FabricOp::ReadPool { addr, len, tag, .. } = ops[0].clone() else {
-            panic!()
-        };
-        let data = driver.pool.read_vec(addr, len as usize).unwrap();
-        let ops2 = core.on_data(tag, &data);
-        driver.run(&mut core, ops2);
+        // read completes: deliver ops selectively. Three pool reads are
+        // issued; deliver only the FIRST, then "crash".
+        let mut ops = probe_to_meta(&mut core, &mut driver);
+        assert_eq!(ops.len(), 3);
+        let first = ops.remove(0);
+        assert!(matches!(first, FabricOp::ReadPool { .. }));
+        driver.run(&mut core, [first]);
         assert_eq!(core.progress(), (1, 0));
 
         // Loss detected: Go-Back-N restart.
@@ -2671,30 +2545,31 @@ mod tests {
         let _ = h1;
     }
 
+    /// Step one probe by hand: execute the green read, then the metadata
+    /// fetch it leads to, and return what the metadata emitted.
+    fn probe_to_meta(core: &mut EngineCore, driver: &mut Loopback) -> Vec<FabricOp> {
+        let mut ops = Vec::new();
+        core.on_probe_due_into(&mut ops);
+        for step in ["green read", "metadata fetch"] {
+            assert_eq!(ops.len(), 1, "one {step}");
+            let op = ops.pop().unwrap();
+            assert!(matches!(op, FabricOp::ReadCompute { .. }), "{step}");
+            driver.exec(core, op, &mut ops);
+        }
+        ops
+    }
+
     /// Run `core` up to the point where the read's pool data has landed but
     /// the write payload is still "in flight": ring order is W1 then R1, so
     /// read_progress = 1 strands a completed straggler behind the
     /// incomplete write. Returns with `core.progress() == (1, 0)`.
-    fn run_to_straggler(core: &mut EngineCore, driver: &LoopDriver) {
-        let ops = core.on_probe_due();
-        let FabricOp::ReadCompute { offset, len, tag } = ops[0].clone() else {
-            panic!()
-        };
-        let green = driver.compute.read_vec(offset, len as usize).unwrap();
-        let ops = core.on_data(tag, &green);
-        let FabricOp::ReadCompute { offset, len, tag } = ops[0].clone() else {
-            panic!()
-        };
-        let meta = driver.compute.read_vec(offset, len as usize).unwrap();
-        let ops = core.on_data(tag, &meta);
+    fn run_to_straggler(core: &mut EngineCore, driver: &mut Loopback) {
+        let mut ops = probe_to_meta(core, driver);
         // ops[0] fetches the write payload, ops[1] the read's pool data.
         // Deliver only the latter.
-        let FabricOp::ReadPool { addr, len, tag, .. } = ops[1].clone() else {
-            panic!()
-        };
-        let data = driver.pool.read_vec(addr, len as usize).unwrap();
-        let ops = core.on_data(tag, &data);
-        driver.run(core, ops);
+        let read = ops.remove(1);
+        assert!(matches!(read, FabricOp::ReadPool { .. }));
+        driver.run(core, [read]);
         assert_eq!(core.progress(), (1, 0));
     }
 
@@ -2704,11 +2579,11 @@ mod tests {
         // while the write (ring entry 0) is still in flight. The committed
         // floor must stay at entry 0 — a completed-request *count* would
         // say 1 and rewind past the incomplete write, losing it.
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 1);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 1);
         driver.pool.write(64, b"RRRRRRRR").unwrap();
         let w = ch.async_write(1, 0, b"WWWWWWWW").unwrap();
         let r = ch.async_read(1, 64, 8).unwrap();
-        run_to_straggler(&mut core, &driver);
+        run_to_straggler(&mut core, &mut driver);
         assert!(ch.is_complete(r.id));
         assert!(!ch.is_complete(w));
 
@@ -2726,11 +2601,11 @@ mod tests {
 
     #[test]
     fn standby_adopts_channel_and_resumes_exactly_once() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 1);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 1);
         driver.pool.write(64, b"RRRRRRRR").unwrap();
         let w = ch.async_write(1, 0, b"WWWWWWWW").unwrap();
         let r = ch.async_read(1, 64, 8).unwrap();
-        run_to_straggler(&mut core, &driver);
+        run_to_straggler(&mut core, &mut driver);
 
         // The primary dies mid-write. The client fences its epoch, then a
         // standby adopts the channel from the persisted red block.
@@ -2740,10 +2615,10 @@ mod tests {
             .compute
             .read_vec(RED_OFFSET, cowbird::layout::RED_LEN as usize)
             .unwrap();
-        assert_eq!(standby.adopt_from_red(&red), Some(1));
+        let mut ops = Vec::new();
+        assert_eq!(standby.adopt_from_red(&red, &mut ops), Some(1));
         assert_eq!(standby.epoch(), 1);
         assert_eq!(standby.stats.adoptions, 1);
-        let ops = standby.red_update();
         driver.run(&mut standby, ops);
         driver.probe(&mut standby);
         assert_eq!(standby.progress(), (1, 1));
@@ -2763,13 +2638,12 @@ mod tests {
 
         // The zombie primary fences itself on its next probe and goes
         // silent: no fabric ops, ever again.
-        let ops = core.on_probe_due();
+        let mut ops = Vec::new();
+        core.on_probe_due_into(&mut ops);
         assert_eq!(ops.len(), 1);
-        let FabricOp::ReadCompute { offset, len, tag } = ops[0].clone() else {
-            panic!()
-        };
-        let green = driver.compute.read_vec(offset, len as usize).unwrap();
-        assert!(core.on_data(tag, &green).is_empty());
+        let green = ops.pop().unwrap();
+        driver.exec(&mut core, green, &mut ops);
+        assert!(ops.is_empty());
         assert!(core.is_fenced());
         assert!(core.stats.fenced);
         assert_eq!(
@@ -2779,8 +2653,8 @@ mod tests {
                 fence: 1
             })
         );
-        assert!(core.on_probe_due().is_empty());
-        assert!(core.red_update().is_empty());
+        core.on_probe_due_into(&mut ops);
+        assert!(ops.is_empty());
     }
 
     #[test]
@@ -2804,10 +2678,7 @@ mod tests {
             .with_recorder(Recorder::attached(Arc::clone(&ring), 1, true))
             .with_channel_id(0);
         let mut core = EngineCore::new(cfg);
-        let driver = LoopDriver {
-            compute: ch.region().clone(),
-            pool: Region::new(1 << 16),
-        };
+        let mut driver = Loopback::new(ch.region().clone(), Region::new(1 << 16));
         driver.pool.write(100, b"hello").unwrap();
         let h = ch.async_read(1, 100, 5).unwrap();
         let w = ch.async_write(1, 400, b"bye").unwrap();
@@ -2849,10 +2720,12 @@ mod tests {
     #[test]
     fn probe_while_outstanding_is_suppressed() {
         let (_ch, mut core, _driver) = setup(EngineVariant::Spot, 1);
-        let ops1 = core.on_probe_due();
-        assert_eq!(ops1.len(), 1);
-        let ops2 = core.on_probe_due();
-        assert!(ops2.is_empty(), "second probe suppressed while outstanding");
+        let mut ops = Vec::new();
+        core.on_probe_due_into(&mut ops);
+        assert_eq!(ops.len(), 1);
+        ops.clear();
+        core.on_probe_due_into(&mut ops);
+        assert!(ops.is_empty(), "second probe suppressed while outstanding");
         assert_eq!(core.stats.probes_sent, 1);
     }
 
@@ -2860,21 +2733,21 @@ mod tests {
 
     /// Write a pointer word (48-bit address, upper 16 bits are app tag
     /// bits the engine must mask off) at `at` in the pool.
-    fn plant_ptr(driver: &LoopDriver, at: u64, addr: u64, tag: u16) {
+    fn plant_ptr(driver: &Loopback, at: u64, addr: u64, tag: u16) {
         let word = ((tag as u64) << 48) | addr;
         driver.pool.write(at, &word.to_le_bytes()).unwrap();
     }
 
     /// Write a 16-byte chase block at `at`: an 8-byte next pointer followed
     /// by 8 payload bytes.
-    fn plant_block(driver: &LoopDriver, at: u64, next: u64, payload: &[u8; 8]) {
+    fn plant_block(driver: &Loopback, at: u64, next: u64, payload: &[u8; 8]) {
         plant_ptr(driver, at, next, 0);
         driver.pool.write(at + 8, payload).unwrap();
     }
 
     #[test]
     fn read_indirect_round_trips_in_one_request() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         // Slot word at 64 points (with tag bits set, which must be masked)
         // at a terminal record at 4096.
         plant_ptr(&driver, 64, 4096, 0xBEEF);
@@ -2898,7 +2771,7 @@ mod tests {
 
     #[test]
     fn chase_walks_chain_until_null_or_budget() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         plant_ptr(&driver, 64, 1024, 0);
         plant_block(&driver, 1024, 2048, b"node-one");
         plant_block(&driver, 2048, 4096, b"node-two");
@@ -2927,7 +2800,7 @@ mod tests {
 
     #[test]
     fn chase_null_pointer_and_out_of_bounds_abort_with_status() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         // Empty slot: null pointer, no block fetched.
         let h = ch.async_read_indirect(1, 64, 0, 0, 16).unwrap();
         driver.probe(&mut core);
@@ -2951,7 +2824,7 @@ mod tests {
 
     #[test]
     fn chase_parks_behind_racing_write_and_observes_flushed_data() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 1);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 1);
         plant_ptr(&driver, 64, 1024, 0);
         plant_block(&driver, 1024, 0, b"OLDOLDOL");
         // An uncommitted read of the record holds the overlapping write in
@@ -2982,7 +2855,7 @@ mod tests {
         // Table 5 prices exactly one dependent recirculation: a deep chain
         // comes back after one hop with BudgetExhausted so the client can
         // continue, rather than consuming unbounded switch passes.
-        let (mut ch, mut core, driver) = setup(EngineVariant::P4, 1);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::P4, 1);
         plant_ptr(&driver, 64, 1024, 0);
         plant_block(&driver, 1024, 2048, b"node-one");
         plant_block(&driver, 2048, 0, b"node-two");
@@ -2997,7 +2870,7 @@ mod tests {
 
     #[test]
     fn chase_orders_with_plain_reads_and_replays_after_reset() {
-        let (mut ch, mut core, driver) = setup(EngineVariant::Spot, 8);
+        let (mut ch, mut core, mut driver) = setup(EngineVariant::Spot, 8);
         driver.pool.write(100, b"before").unwrap();
         plant_ptr(&driver, 64, 1024, 0);
         plant_block(&driver, 1024, 0, b"chase-ok");
@@ -3014,9 +2887,8 @@ mod tests {
         // Go-Back-N mid-chase: the reset clears the chase state machine and
         // the replay re-executes from hop 0 without double counting.
         let d = ch.async_read_indirect(1, 64, 0, 0, 16).unwrap();
-        let ops = core.on_probe_due();
         // Drop the in-flight ops on the floor (simulated loss), rewind.
-        drop(ops);
+        core.on_probe_due_into(&mut Vec::new());
         core.reset_to_committed();
         driver.probe(&mut core);
         assert!(ch.is_complete(d.id));

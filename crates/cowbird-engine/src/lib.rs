@@ -24,10 +24,16 @@
 //! * [`p4`] — the Cowbird-P4 program shape on the `p4rt` pipeline: the
 //!   12-stage spec whose resource fold regenerates Table 5, plus the
 //!   recycling rules (§5.2) expressed as tests over `rdma::wire`.
+//!
+//! Outside the product, [`loopback::Loopback`] is a synchronous in-memory
+//! fabric over the same `_into` entry points: the core's unit tests, the
+//! coalescing-equivalence proptests and the verb-coalescing figure drive
+//! the core through it.
 
 pub mod consistency;
 pub mod core;
 pub mod group;
+pub mod loopback;
 pub mod p4;
 pub mod sim;
 mod slot;

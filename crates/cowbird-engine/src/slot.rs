@@ -385,17 +385,15 @@ impl Slot {
             return false;
         }
         let red = mem::replace(&mut self.bid_red, PoolBuf::empty());
-        self.core
-            .adopt_from_red(&red)
-            .expect("the bid decoded this red block");
         self.core.note_election_won(bid, bid + 1);
+        // Adoption stages the bumped epoch's red publish, posted at once, so
+        // the client (and any zombie predecessor, through the fence word)
+        // sees the takeover without waiting for request traffic.
+        self.core
+            .adopt_from_red(&red, &mut self.ops)
+            .expect("the bid decoded this red block");
         self.role = Role::Active;
-        // Publish the bumped epoch at once, so the client (and any zombie
-        // predecessor, through the fence word) sees the takeover without
-        // waiting for request traffic.
-        for op in self.core.red_update() {
-            self.post_op(port, op);
-        }
+        self.exec(port);
         true
     }
 

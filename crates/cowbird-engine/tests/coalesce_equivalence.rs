@@ -6,9 +6,12 @@
 //! a held write never reaches the pool before the covering read commits,
 //! even when that read travelled as one segment of a multi-SGE verb.
 
+use std::collections::VecDeque;
+
 use cowbird::channel::Channel;
 use cowbird::layout::ChannelLayout;
 use cowbird::region::{RegionMap, RemoteRegion};
+use cowbird_engine::loopback::Loopback;
 use cowbird_engine::{EngineConfig, EngineCore, FabricOp};
 use proptest::prelude::*;
 use rdma::mem::Region;
@@ -16,65 +19,7 @@ use rdma::mem::Region;
 const POOL_SIZE: usize = 1 << 16;
 const SLOT: u64 = 8;
 
-/// Synchronous loopback fabric: executes FabricOps directly against the
-/// channel region and a pool region, feeding completions back immediately.
-struct LoopDriver {
-    compute: Region,
-    pool: Region,
-}
-
-impl LoopDriver {
-    fn run(&self, core: &mut EngineCore, ops: Vec<FabricOp>) {
-        let mut queue = ops;
-        while !queue.is_empty() {
-            let mut next = Vec::new();
-            for op in queue {
-                match op {
-                    FabricOp::ReadCompute { offset, len, tag } => {
-                        let data = self.compute.read_vec(offset, len as usize).unwrap();
-                        next.extend(core.on_data(tag, &data));
-                    }
-                    FabricOp::WriteCompute { offset, data, tag } => {
-                        self.compute.write(offset, &data).unwrap();
-                        if tag != 0 {
-                            next.extend(core.on_data(tag, &[]));
-                        }
-                    }
-                    FabricOp::ReadPool { addr, len, tag, .. } => {
-                        let data = self.pool.read_vec(addr, len as usize).unwrap();
-                        next.extend(core.on_data(tag, &data));
-                    }
-                    FabricOp::WritePool { addr, data, .. } => {
-                        self.pool.write(addr, &data).unwrap();
-                    }
-                    FabricOp::ReadPoolSg { addr, parts, .. } => {
-                        let mut cursor = addr;
-                        for (len, tag) in parts {
-                            let data = self.pool.read_vec(cursor, len as usize).unwrap();
-                            cursor += u64::from(len);
-                            next.extend(core.on_data(tag, &data));
-                        }
-                    }
-                    FabricOp::WritePoolSg { addr, segments, .. } => {
-                        let mut cursor = addr;
-                        for seg in segments {
-                            self.pool.write(cursor, &seg).unwrap();
-                            cursor += seg.len() as u64;
-                        }
-                    }
-                }
-            }
-            queue = next;
-        }
-    }
-
-    fn probe(&self, core: &mut EngineCore) {
-        let ops = core.on_probe_due();
-        self.run(core, ops);
-    }
-}
-
-fn setup(coalesce_sge: usize) -> (Channel, EngineCore, LoopDriver) {
+fn setup(coalesce_sge: usize) -> (Channel, EngineCore, Loopback) {
     let mut regions = RegionMap::new();
     regions.insert(
         1,
@@ -88,10 +33,7 @@ fn setup(coalesce_sge: usize) -> (Channel, EngineCore, LoopDriver) {
     let ch = Channel::new(0, layout, regions.clone());
     let cfg = EngineConfig::spot(layout, regions, 8).with_coalesce_sge(coalesce_sge);
     let core = EngineCore::new(cfg);
-    let driver = LoopDriver {
-        compute: ch.region().clone(),
-        pool: Region::new(POOL_SIZE),
-    };
+    let driver = Loopback::new(ch.region().clone(), Region::new(POOL_SIZE));
     (ch, core, driver)
 }
 
@@ -119,7 +61,7 @@ type Outcome = (Vec<(u64, u64)>, Vec<Vec<u8>>, Vec<u8>);
 
 /// Drive one engine over `ops`, probing every `burst` issues.
 fn run(ops: &[OpSpec], coalesce_sge: usize, burst: usize) -> Outcome {
-    let (mut ch, mut core, driver) = setup(coalesce_sge);
+    let (mut ch, mut core, mut driver) = setup(coalesce_sge);
     for i in 0..POOL_SIZE {
         driver.pool.write(i as u64, &[(i % 251) as u8]).unwrap();
     }
@@ -192,7 +134,7 @@ proptest! {
 /// (seeing the original data) before releasing the write.
 #[test]
 fn crash_barrier_holds_across_chain_boundary() {
-    let (mut ch, mut core, driver) = setup(16);
+    let (mut ch, mut core, mut driver) = setup(16);
     driver.pool.write(0, b"OLDAOLDB").unwrap();
     let r1 = ch.async_read(1, 0, 4).unwrap();
     let r2 = ch.async_read(1, 4, 4).unwrap();
@@ -201,41 +143,21 @@ fn crash_barrier_holds_across_chain_boundary() {
     // Execute the probe results by hand, dropping every tagged compute
     // write (the red publish and its delivery ack) — a crash at the worst
     // moment: the SG read chain completed, the commit did not.
-    let mut queue = core.on_probe_due();
+    let mut probe = Vec::new();
+    core.on_probe_due_into(&mut probe);
+    let mut queue = VecDeque::from(probe);
     let mut saw_sg = false;
-    while !queue.is_empty() {
-        let mut next = Vec::new();
-        for op in queue {
-            match op {
-                FabricOp::ReadCompute { offset, len, tag } => {
-                    let data = driver.compute.read_vec(offset, len as usize).unwrap();
-                    next.extend(core.on_data(tag, &data));
-                }
-                FabricOp::WriteCompute { offset, data, tag } => {
-                    if tag != 0 {
-                        continue; // red publish lost: no ack, no commit
-                    }
-                    driver.compute.write(offset, &data).unwrap();
-                }
-                FabricOp::ReadPoolSg { addr, parts, .. } => {
-                    saw_sg = true;
-                    let mut cursor = addr;
-                    for (len, tag) in parts {
-                        let data = driver.pool.read_vec(cursor, len as usize).unwrap();
-                        cursor += u64::from(len);
-                        next.extend(core.on_data(tag, &data));
-                    }
-                }
-                FabricOp::ReadPool { addr, len, tag, .. } => {
-                    let data = driver.pool.read_vec(addr, len as usize).unwrap();
-                    next.extend(core.on_data(tag, &data));
-                }
-                FabricOp::WritePool { .. } | FabricOp::WritePoolSg { .. } => {
-                    panic!("held write released before the read committed");
-                }
+    while let Some(op) = queue.pop_front() {
+        match op {
+            // Red publish lost: no ack, no commit.
+            FabricOp::WriteCompute { tag, .. } if tag != 0 => continue,
+            FabricOp::WritePool { .. } | FabricOp::WritePoolSg { .. } => {
+                panic!("held write released before the read committed");
             }
+            FabricOp::ReadPoolSg { .. } => saw_sg = true,
+            _ => {}
         }
-        queue = next;
+        driver.exec(&mut core, op, &mut queue);
     }
     assert!(
         saw_sg,

@@ -6,21 +6,19 @@
 //! driven through rounds of eight non-adjacent writes (so every round stages
 //! eight and flushes eight, and nothing fuses into a scatter-gather verb)
 //! performs **zero heap allocations**: the stage keeps its capacity across
-//! flushes, payloads land in recycled buffers, and every scratch the loopback
-//! driver uses is reused.
+//! flushes, payloads land in recycled buffers, and every scratch the shared
+//! loopback fabric uses is reused.
 //!
 //! The allocation counter is a process-global `#[global_allocator]`, so this
 //! file holds exactly one test: the quiet window is only meaningful while no
 //! sibling test thread is allocating.
 
-use std::collections::VecDeque;
-
 use cowbird::channel::Channel;
 use cowbird::layout::ChannelLayout;
 use cowbird::region::{RegionMap, RemoteRegion};
-use cowbird_engine::{EngineConfig, EngineCore, FabricOp};
+use cowbird_engine::loopback::Loopback;
+use cowbird_engine::{EngineConfig, EngineCore};
 use rdma::mem::Region;
-use simnet::pool::BufArena;
 use telemetry::profile::{allocs_now, TallyAlloc};
 
 #[global_allocator]
@@ -28,53 +26,6 @@ static COUNTER: TallyAlloc = TallyAlloc;
 
 const WRITES: u64 = 8;
 const LEN: usize = 64;
-
-/// A synchronous loopback fabric whose every scratch is reused: fetched
-/// bytes land in buffers from `arena` and go to the core owned, as an owned
-/// read's landed buffer would.
-struct Loopback {
-    compute: Region,
-    pool: Region,
-    arena: BufArena,
-    queue: VecDeque<FabricOp>,
-    emitted: Vec<FabricOp>,
-}
-
-impl Loopback {
-    fn land(&mut self, core: &mut EngineCore, from: &Region, addr: u64, len: u32, tag: u64) {
-        let mut buf = self.arena.take_sized(0, len as usize);
-        from.read(addr, &mut buf).unwrap();
-        core.on_landed_into(tag, buf, &mut self.emitted);
-    }
-
-    fn probe(&mut self, core: &mut EngineCore) {
-        core.on_probe_due_into(&mut self.emitted);
-        self.queue.extend(self.emitted.drain(..));
-        while let Some(op) = self.queue.pop_front() {
-            match op {
-                FabricOp::ReadCompute { offset, len, tag } => {
-                    let compute = self.compute.clone();
-                    self.land(core, &compute, offset, len, tag);
-                }
-                FabricOp::ReadPool { addr, len, tag, .. } => {
-                    let pool = self.pool.clone();
-                    self.land(core, &pool, addr, len, tag);
-                }
-                FabricOp::WriteCompute { offset, data, tag } => {
-                    self.compute.write(offset, &data).unwrap();
-                    if tag != 0 {
-                        core.on_data_into(tag, &[], &mut self.emitted);
-                    }
-                }
-                FabricOp::WritePool { addr, data, .. } => {
-                    self.pool.write(addr, &data).unwrap();
-                }
-                op => panic!("no op of this round coalesces: {op:?}"),
-            }
-            self.queue.extend(self.emitted.drain(..));
-        }
-    }
-}
 
 #[test]
 fn warmed_up_write_stage_allocates_nothing() {
@@ -92,13 +43,7 @@ fn warmed_up_write_stage_allocates_nothing() {
     let cfg = EngineConfig::spot(layout, regions, WRITES as usize);
     assert!(cfg.coalescing(), "the write stage is the coalescing path");
     let mut core = EngineCore::new(cfg);
-    let mut fabric = Loopback {
-        compute: ch.region().clone(),
-        pool: Region::new(1 << 16),
-        arena: BufArena::new(64),
-        queue: VecDeque::with_capacity(64),
-        emitted: Vec::with_capacity(64),
-    };
+    let mut fabric = Loopback::new(ch.region().clone(), Region::new(1 << 16));
     let payload = [0u8; LEN];
 
     let mut round = |r: u64| {
@@ -128,6 +73,7 @@ fn warmed_up_write_stage_allocates_nothing() {
     }
     let allocs = allocs_now() - before;
     assert_eq!(core.stats.writes_executed, 1064 * WRITES);
+    assert_eq!(core.stats.sg_merges, 0, "no op of this workload coalesces");
     assert_eq!(
         allocs, 0,
         "allocations over 1000 warmed-up rounds of staged writes"

@@ -931,6 +931,39 @@ impl Channel {
         h: &ReadHandle,
         out: &mut Vec<u8>,
     ) -> Result<(), CowbirdError> {
+        let at = self.consume(h)?;
+        self.region
+            .read_into(at, h.len as usize, out)
+            .expect("in-layout read");
+        Ok(())
+    }
+
+    /// Decode a completed chase response: the leading status word plus the
+    /// payload block (empty when no block was fetched). Releases the ring
+    /// space like [`Channel::take_response`].
+    pub fn take_chase_response(&mut self, h: &ReadHandle) -> Result<ChaseOutcome, CowbirdError> {
+        let at = self.consume(h)?;
+        debug_assert!(u64::from(h.len) >= CHASE_RESP_OVERHEAD);
+        let mut word = [0u8; 8];
+        self.region.read(at, &mut word).expect("in-layout read");
+        let status = ChaseStatusWord::decode(u64::from_le_bytes(word))
+            .ok_or(CowbirdError::MalformedResponse)?;
+        let data = match status.status {
+            crate::meta::ChaseStatus::Ok | crate::meta::ChaseStatus::BudgetExhausted => self
+                .region
+                .read_vec(at + 8, h.len as usize - 8)
+                .expect("in-layout read"),
+            _ => Vec::new(),
+        };
+        Ok(ChaseOutcome { status, data })
+    }
+
+    /// Claim a completed read's response and release its ring space, which
+    /// the caller reads at the returned offset before issuing again. The
+    /// read is found by index: `pending_reads` holds consecutive seqs, since
+    /// every read-type issue pushes the next one and only the front is ever
+    /// removed.
+    fn consume(&mut self, h: &ReadHandle) -> Result<u64, CowbirdError> {
         if h.id.channel() != self.cid {
             return Err(CowbirdError::ForeignRequest);
         }
@@ -938,16 +971,18 @@ impl Channel {
             return Err(CowbirdError::NotComplete);
         }
         let seq = h.id.seq();
-        let Some(p) = self.pending_reads.iter_mut().find(|p| p.seq == seq) else {
+        let idx = self
+            .pending_reads
+            .front()
+            .and_then(|p| seq.checked_sub(p.seq));
+        let Some(p) = idx.and_then(|i| self.pending_reads.get_mut(i as usize)) else {
             return Err(CowbirdError::AlreadyTaken);
         };
+        debug_assert_eq!(p.seq, seq);
         if p.consumed {
             return Err(CowbirdError::AlreadyTaken);
         }
         p.consumed = true;
-        self.region
-            .read_into(self.layout.rdata_phys(h.rdata_start), h.len as usize, out)
-            .expect("in-layout read");
         // Opportunistically reclaim the freed prefix.
         while let Some(front) = self.pending_reads.front() {
             if front.consumed && front.seq <= self.cached_read_progress {
@@ -957,24 +992,7 @@ impl Channel {
                 break;
             }
         }
-        Ok(())
-    }
-
-    /// Decode a completed chase response: the leading status word plus the
-    /// payload block (empty when no block was fetched). Releases the ring
-    /// space like [`Channel::take_response`].
-    pub fn take_chase_response(&mut self, h: &ReadHandle) -> Result<ChaseOutcome, CowbirdError> {
-        let raw = self.take_response(h)?;
-        debug_assert!(raw.len() >= CHASE_RESP_OVERHEAD as usize);
-        let word = u64::from_le_bytes(raw[..8].try_into().expect("status word"));
-        let status = ChaseStatusWord::decode(word).ok_or(CowbirdError::MalformedResponse)?;
-        let data = match status.status {
-            crate::meta::ChaseStatus::Ok | crate::meta::ChaseStatus::BudgetExhausted => {
-                raw[8..].to_vec()
-            }
-            _ => Vec::new(),
-        };
-        Ok(ChaseOutcome { status, data })
+        Ok(self.layout.rdata_phys(h.rdata_start))
     }
 
     /// Copy a completed read's response into `out` without releasing it.
@@ -1166,6 +1184,27 @@ mod tests {
         assert_eq!(data[3], 3);
         // Double-take is rejected.
         assert_eq!(ch.take_response(&h), Err(CowbirdError::AlreadyTaken));
+    }
+
+    #[test]
+    fn out_of_order_takes_return_own_bytes_and_free_only_the_prefix() {
+        let mut ch = Channel::new(0, ChannelLayout::tiny(), regions_1mb());
+        let mut eng = MiniEngine::new();
+        let handles: Vec<_> = (0..4).map(|_| ch.async_read(1, 0, 16).unwrap()).collect();
+        eng.run(ch.region(), &ch.layout());
+        // Overwrite each response with its own marker.
+        for (i, h) in handles.iter().enumerate() {
+            let at = ch.layout().rdata_phys(h.rdata_start);
+            ch.region().write(at, &[i as u8 + 1; 16]).unwrap();
+        }
+        let end = |i: usize| handles[i].rdata_start + 16;
+        // Take 3, 1, 4, 2: the ring head moves only once the prefix is taken.
+        for (k, head) in [(2, 0), (0, end(0)), (3, end(0)), (1, end(3))] {
+            let h = &handles[k];
+            assert_eq!(ch.take_response(h).unwrap(), [k as u8 + 1; 16]);
+            assert_eq!(ch.take_response(h), Err(CowbirdError::AlreadyTaken));
+            assert_eq!(ch.rdata_head, head, "after taking read {}", k + 1);
+        }
     }
 
     #[test]

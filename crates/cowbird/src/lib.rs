@@ -14,7 +14,7 @@
 //! | [`Channel::async_read`] | queue an asynchronous read of remote memory; returns a request id |
 //! | [`Channel::async_write`] | queue an asynchronous write to remote memory; returns a request id |
 //! | [`PollGroup::new`] / `add` / `remove` | manage a notification group |
-//! | [`Channel::poll_try`] / [`Channel::poll_wait`] | collect completions for a group |
+//! | [`PollGroup::poll_try`] / [`PollGroup::poll_wait_timeout`] | collect completions for a group |
 //!
 //! ## Data organization (paper §4.2, Figure 4, Table 3)
 //!

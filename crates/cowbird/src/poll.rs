@@ -225,27 +225,15 @@ impl PollGroup {
         }
     }
 
-    /// `poll_wait(poll_id, responses, max_ret, timeout)`: spin until
-    /// `max_ret` completions arrive or `spin_limit` refresh rounds elapse.
-    /// Meant for the real-thread substrate (simulations model poll costs
-    /// explicitly instead of spinning).
-    #[deprecated(
-        since = "0.1.0",
-        note = "an exhausted timeout and an idle group both return an empty \
-                Vec, hiding a dead engine; use `poll_wait_timeout`"
-    )]
-    pub fn poll_wait(&mut self, ch: &mut Channel, max_ret: usize, spin_limit: u64) -> Vec<ReqId> {
-        self.poll_wait_timeout(ch, max_ret, spin_limit)
-            .unwrap_or_default()
-    }
-
-    /// Deadline-aware `poll_wait`: spin until `max_ret` completions arrive
-    /// or `spin_limit` refresh rounds elapse.
+    /// The paper's `poll_wait(poll_id, responses, max_ret, timeout)`: spin
+    /// until `max_ret` completions arrive or `spin_limit` refresh rounds
+    /// elapse. Meant for the real-thread substrate (simulations model poll
+    /// costs explicitly instead of spinning).
     ///
-    /// Unlike the deprecated [`PollGroup::poll_wait`], an exhausted deadline
-    /// is distinguishable from an idle group: if requests are registered but
-    /// *zero* completions arrived within the budget, the engine is presumed
-    /// dead and [`WaitError::EngineStalled`] tells the caller to fail over.
+    /// An exhausted deadline is distinguishable from an idle group: if
+    /// requests are registered but *zero* completions arrived within the
+    /// budget, the engine is presumed dead and [`WaitError::EngineStalled`]
+    /// tells the caller to fail over.
     /// Partial progress is returned as `Ok` (the engine is alive, just
     /// slower than the deadline), as is an immediate empty result when
     /// nothing is registered.
@@ -288,7 +276,6 @@ mod tests {
     use super::*;
     use crate::layout::ChannelLayout;
     use crate::region::{RegionMap, RemoteRegion};
-    use crate::reqid::OpType;
     use rdma::mem::Region;
     use std::sync::atomic::Ordering;
 
@@ -364,21 +351,6 @@ mod tests {
         assert!(!g.remove(h.id));
         complete(&ch, 1, 0);
         assert!(g.poll_try(&mut ch, 8).is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn poll_wait_spins_until_available() {
-        let mut ch = channel();
-        let mut g = PollGroup::new();
-        let h = ch.async_read(1, 0, 8).unwrap();
-        g.add(h.id);
-        // Not completed: spin_limit bounds the wait (and the deprecated API
-        // cannot say why the Vec is empty — hence poll_wait_timeout).
-        assert!(g.poll_wait(&mut ch, 1, 10).is_empty());
-        complete(&ch, 1, 0);
-        assert_eq!(g.poll_wait(&mut ch, 1, 10), vec![h.id]);
-        assert_eq!(h.id.op(), OpType::Read);
     }
 
     #[test]

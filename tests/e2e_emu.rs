@@ -154,7 +154,10 @@ fn oversized_request_rejected_cleanly() {
 fn request_span_reconstructs_across_nodes() {
     use telemetry::{EventKind, Telemetry};
 
-    let hub = Telemetry::new(1024);
+    // The idle agent's probe events share the engine node's ring with the
+    // span's events: size it so they cannot push the span out.
+    const RING: usize = 1 << 16;
+    let hub = Telemetry::new(RING);
     let mut fabric = EmuFabric::new();
     let compute = fabric.add_nic();
     let pool = fabric.add_nic();
@@ -198,6 +201,12 @@ fn request_span_reconstructs_across_nodes() {
     let dump = hub.dump();
     telemetry::json::validate(&dump.to_chrome_json()).expect("chrome trace must be valid JSON");
     assert!(dump.nodes_seen().contains(&0) && dump.nodes_seen().contains(&1));
+    let engine_events = dump.events.iter().filter(|e| e.node == 1).count();
+    assert!(
+        engine_events < RING,
+        "the engine node's ring wrapped ({engine_events} events): the span's \
+         engine events may have been overwritten"
+    );
 
     // The read's span: both nodes touched it, bracketed by the client-side
     // issue and completion, with the engine's pool verb in between.
