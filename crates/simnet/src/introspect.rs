@@ -20,6 +20,23 @@
 //!
 //! Disabled (the default), every hook is a single branch: no clock read,
 //! no histogram touch, no allocation after construction.
+//!
+//! Enabled, the wall figures come from stamps the event loop chains:
+//! `Sim::run_until` reads the clock once when it starts, once when an event
+//! leaves the queue, and once when each handler returns (in a delivery
+//! sweep, once per delivered packet). An event's wall dwell runs from the
+//! stamp that opened the handler which scheduled it to its own pop stamp.
+//! That start differs from a stamp taken at the push itself by at most the
+//! scheduling handler's run time; events pushed between runs (a fault
+//! scheduled before `run`) read their own stamp. The kernel's self-profile
+//! (`Sim::attach_self_profiler`) is cut from the same stamps, tallied in
+//! the kernel, and reaches the profiler's `CostAccount` when `run_until`
+//! returns. Where the loop used to read the clock about six times per event
+//! (a push stamp, a pair per pop scope, a pair per dispatch or device
+//! scope, one for dwell) and do four atomic adds on the account, it now
+//! reads it at most twice per event, plus once per packet beyond the first
+//! of a sweep and once per `run_until` call (`Sim::wall_clock_reads`
+//! counts them).
 
 use telemetry::Histogram;
 

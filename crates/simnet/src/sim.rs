@@ -185,9 +185,39 @@ struct Scheduled {
     id: u64,
     /// Virtual time the event was pushed (schedule→fire dwell baseline).
     scheduled_at: Instant,
-    /// Wall clock at push, stamped only while scheduler metrics are
-    /// enabled (0 otherwise — never used on the disabled path).
+    /// Wall stamp at push, taken only while scheduler metrics are enabled
+    /// (0 otherwise — never used on the disabled path). Inside the event
+    /// loop it is the [`WallChain`] stamp that opened the running handler.
     wall_pushed_ns: u64,
+}
+
+/// The kernel's wall-clock bookkeeping while the observability plane is on.
+///
+/// `run_until` reads the clock once when it starts, once when an event
+/// leaves the queue, and once when each handler returns; every wall figure
+/// the kernel reports is a difference of two of these chained stamps. The
+/// self-profile is tallied here and reaches the profiler's
+/// [`telemetry::CostAccount`] once, when `run_until` returns.
+#[derive(Default)]
+struct WallChain {
+    /// The latest stamp while `run_until` runs with the plane on; 0
+    /// otherwise, so a push between runs knows to read its own.
+    at_ns: u64,
+    /// The process allocation counter at `at_ns` (self-profiling only).
+    allocs: u64,
+    /// Per phase (only the kernel's three are charged), what is not yet
+    /// flushed to the self-profiler's account.
+    tally: [PhaseTally; telemetry::PHASE_COUNT],
+    /// Every wall-clock read the kernel has taken.
+    reads: u64,
+}
+
+/// One kernel phase's unflushed self-profile.
+#[derive(Clone, Copy, Default)]
+struct PhaseTally {
+    ns: u64,
+    visits: u64,
+    allocs: u64,
 }
 
 #[cfg(feature = "ref-heap")]
@@ -293,6 +323,8 @@ pub struct Sim {
     /// Wall-clock profiler charging the kernel's own hot loop
     /// (pop / dispatch / device phases).
     self_prof: telemetry::Profiler,
+    /// Chained wall stamps and the unflushed self-profile.
+    chain: WallChain,
     /// Recycled command buffer handed to node callbacks: one allocation for
     /// the whole run instead of one per dispatch.
     cmd_scratch: Vec<Cmd>,
@@ -322,6 +354,7 @@ impl Sim {
             prov: ProvenanceLog::disabled(),
             current_cause: 0,
             self_prof: telemetry::Profiler::disabled(),
+            chain: WallChain::default(),
             cmd_scratch: Vec::new(),
             stopped: false,
             events_processed: 0,
@@ -416,9 +449,12 @@ impl Sim {
     /// Attach a wall-clock profiler charging the kernel's own hot loop:
     /// queue pops ([`telemetry::Phase::SchedPop`]), node dispatch
     /// ([`telemetry::Phase::SchedDispatch`]), and device bookkeeping
-    /// ([`telemetry::Phase::SchedDevice`]). Pass a wall-mode profiler
-    /// (`Profiler::attached(.., wall = true)`); a disabled one (the
-    /// default) costs a single branch per phase transition.
+    /// ([`telemetry::Phase::SchedDevice`]). The kernel charges wall time
+    /// whatever the profiler's clock mode; pass a wall-mode profiler
+    /// (`Profiler::attached(.., wall = true)`). Charges are tallied inside
+    /// [`Sim::run_until`] and reach the profiler's account when it
+    /// returns. A disabled profiler (the default) costs a single branch
+    /// per phase transition.
     pub fn attach_self_profiler(&mut self, prof: telemetry::Profiler) {
         self.self_prof = prof;
     }
@@ -433,6 +469,12 @@ impl Sim {
     /// The scheduler's self-metrics (all-zero while disabled).
     pub fn scheduler_metrics(&self) -> &SchedulerMetrics {
         &self.sched
+    }
+
+    /// Wall-clock reads the kernel has taken for scheduler metrics and the
+    /// self-profiler: the observability plane's price, 0 while it is off.
+    pub fn wall_clock_reads(&self) -> u64 {
+        self.chain.reads
     }
 
     /// Turn on event provenance with a ring retaining the most recent
@@ -545,9 +587,13 @@ impl Sim {
         self.seq += 1;
         let id = seq + 1;
         // Wall stamp only while dwell tracking wants it: the disabled path
-        // stays free of clock reads.
+        // stays free of clock reads. Inside `run_until` the running
+        // handler's opening stamp serves; a push between runs reads its own.
         let wall_pushed_ns = if self.sched.is_enabled() {
-            telemetry::wall_now_ns()
+            match self.chain.at_ns {
+                0 => self.wall_read(),
+                at => at,
+            }
         } else {
             0
         };
@@ -668,7 +714,7 @@ impl Sim {
     /// (cancelled) only when packets existed and every one was discarded
     /// (crashed receiver) with no follow-up work — provenance requires that
     /// any event with children retired as fired.
-    fn link_deliver(&mut self, idx: usize, prof: &telemetry::Profiler) -> bool {
+    fn link_deliver(&mut self, idx: usize, profiling: bool) -> bool {
         self.links[idx].begin_sweep(self.now);
         let mut delivered = 0u64;
         let mut dropped = 0u64;
@@ -687,11 +733,13 @@ impl Sim {
                 pack_pkt(pkt.src.0, pkt.wire_bytes, pkt.prio),
                 pkt.meta,
             );
-            let _s = prof.scope(Phase::SchedDispatch);
             if self.dispatch(dst, |n, ctx| n.on_packet(pkt, ctx)) {
                 delivered += 1;
             } else {
                 dropped += 1;
+            }
+            if profiling {
+                self.lap(Phase::SchedDispatch, 1);
             }
         }
         let mut rescheduled = false;
@@ -702,29 +750,79 @@ impl Sim {
         delivered > 0 || dropped == 0 || rescheduled
     }
 
+    /// Read the wall clock for the observability plane. Every kernel read
+    /// goes through here, so [`Sim::wall_clock_reads`] counts them all. A
+    /// stamp is never 0, which marks an unstamped event.
+    fn wall_read(&mut self) -> u64 {
+        self.chain.reads += 1;
+        telemetry::wall_now_ns().max(1)
+    }
+
+    /// Charge the interval since the chain's last stamp, and the
+    /// allocations made in it, to `phase` as `visits` visits; `now_ns`
+    /// becomes the chain's stamp.
+    fn charge(&mut self, phase: Phase, visits: u64, now_ns: u64) {
+        let allocs = telemetry::profile::allocs_now();
+        let c = &mut self.chain;
+        let t = &mut c.tally[phase as usize];
+        t.ns += now_ns.saturating_sub(c.at_ns);
+        t.visits += visits;
+        t.allocs += allocs.saturating_sub(c.allocs);
+        c.at_ns = now_ns;
+        c.allocs = allocs;
+    }
+
+    /// Stamp the clock and charge the interval it closes to `phase`.
+    fn lap(&mut self, phase: Phase, visits: u64) {
+        let now = self.wall_read();
+        self.charge(phase, visits, now);
+    }
+
     /// Run until the event queue drains, a node calls [`Ctx::stop`], or
     /// `deadline` (if any) is reached. Returns the final virtual time.
     pub fn run_until(&mut self, deadline: Option<Instant>) -> Instant {
-        // Owned clone so scopes don't borrow `self` across dispatches.
-        let prof = self.self_prof.clone();
+        let profiling = self.self_prof.is_enabled();
+        // The plane reads the clock only while something consumes stamps:
+        // the self-profiler (phase times) or scheduler metrics (dwell).
+        let stamping = profiling || self.sched.is_enabled();
+        if stamping {
+            self.chain.at_ns = self.wall_read();
+            self.chain.allocs = telemetry::profile::allocs_now();
+        }
         // Fire on_start for nodes that have not started yet.
+        let mut starts = 0;
         for i in 0..self.nodes.len() {
             if !self.started[i] {
                 self.started[i] = true;
-                let _s = prof.scope(Phase::SchedDispatch);
                 self.dispatch(NodeId(i as u32), |n, ctx| n.on_start(ctx));
+                starts += 1;
             }
+        }
+        if profiling && starts > 0 {
+            self.lap(Phase::SchedDispatch, starts);
         }
         let limit = deadline.map_or(u64::MAX, |d| d.nanos());
         while !self.stopped {
-            let popped = {
-                let _s = prof.scope(Phase::SchedPop);
-                self.queue.pop_before(limit)
-            };
             // Queue drained or next event past the deadline (the wheel never
             // advances past `limit`, so later pushes stay legal either way).
-            let Some((at_ns, entry)) = popped else {
+            let Some((at_ns, entry)) = self.queue.pop_before(limit) else {
+                if profiling {
+                    // The empty pop that ends the run counts as a visit but
+                    // is not timed: that would cost a read per call.
+                    let at = self.chain.at_ns;
+                    self.charge(Phase::SchedPop, 1, at);
+                }
                 break;
+            };
+            let popped_wall_ns = if stamping {
+                if profiling {
+                    self.lap(Phase::SchedPop, 1);
+                } else {
+                    self.chain.at_ns = self.wall_read();
+                }
+                self.chain.at_ns
+            } else {
+                0
             };
             debug_assert!(at_ns >= self.now.nanos(), "time went backwards");
             self.now = Instant(at_ns);
@@ -738,24 +836,31 @@ impl Sim {
             let depth = self.queue.len() as u64;
             self.current_cause = entry.id;
             let fired = match entry.ev {
-                Event::LinkDeliver(idx) => self.link_deliver(idx, &prof),
+                Event::LinkDeliver(idx) => self.link_deliver(idx, profiling),
                 Event::Timer(node, tag) => {
                     if self.down[node.0 as usize] {
                         self.faults.timers_dropped += 1;
                         false
                     } else {
-                        let _s = prof.scope(Phase::SchedDispatch);
-                        self.dispatch(node, |n, ctx| n.on_timer(tag, ctx))
+                        let fired = self.dispatch(node, |n, ctx| n.on_timer(tag, ctx));
+                        if profiling {
+                            self.lap(Phase::SchedDispatch, 1);
+                        }
+                        fired
                     }
                 }
                 Event::LinkTxDone(idx) => {
-                    let _s = prof.scope(Phase::SchedDevice);
                     self.link_tx_done(idx);
+                    if profiling {
+                        self.lap(Phase::SchedDevice, 1);
+                    }
                     true
                 }
                 Event::Fault(ev) => {
-                    let _s = prof.scope(Phase::SchedDevice);
                     self.apply_fault(ev);
+                    if profiling {
+                        self.lap(Phase::SchedDevice, 1);
+                    }
                     true
                 }
             };
@@ -765,7 +870,7 @@ impl Sim {
                 let wall_dwell = if entry.wall_pushed_ns == 0 {
                     0
                 } else {
-                    telemetry::wall_now_ns().saturating_sub(entry.wall_pushed_ns)
+                    popped_wall_ns.saturating_sub(entry.wall_pushed_ns)
                 };
                 self.sched.note_depth(depth);
                 self.sched.note_popped(class, fired, virt_dwell, wall_dwell);
@@ -779,12 +884,29 @@ impl Sim {
                 self.prov.on_popped(entry.id, self.now.nanos(), outcome);
             }
         }
+        if stamping {
+            self.chain.at_ns = 0;
+            self.flush_self_profile();
+        }
         if let Some(d) = deadline {
             if self.now < d && !self.stopped {
                 self.now = d;
             }
         }
         self.now
+    }
+
+    /// Move the tallied self-profile into the profiler's account.
+    fn flush_self_profile(&mut self) {
+        let Some(account) = self.self_prof.account() else {
+            return;
+        };
+        for (phase, t) in Phase::ALL.into_iter().zip(&mut self.chain.tally) {
+            if t.visits != 0 {
+                account.add_batch(phase, t.ns, t.visits, t.allocs);
+            }
+            *t = PhaseTally::default();
+        }
     }
 
     /// Run for a fixed span of virtual time.
@@ -1340,6 +1462,109 @@ mod tests {
         );
         assert!(account.phase_count(Phase::SchedDispatch) > 0);
         assert!(account.phase_count(Phase::SchedDevice) > 0);
+    }
+
+    /// The beacon/echo rig; returns (beacon, echo).
+    fn beacon_echo(sim: &mut Sim) -> (NodeId, NodeId) {
+        let beacon = sim.add_node(Box::new(Beacon {
+            peer: NodeId(1),
+            period: Duration::from_micros(1),
+            sent: 0,
+            replies: 0,
+        }));
+        let echo = sim.add_node(Box::new(Echo {
+            think: Duration::ZERO,
+            pending: vec![],
+            received: 0,
+        }));
+        sim.connect(beacon, echo, params_100g());
+        (beacon, echo)
+    }
+
+    #[test]
+    fn wall_clock_reads_stay_within_two_per_event() {
+        use crate::introspect::EventClass;
+        use telemetry::{Component, CostAccount, Profiler};
+
+        // Plane off: the kernel never reads the clock.
+        let mut sim = Sim::new(35);
+        beacon_echo(&mut sim);
+        sim.run_for(Duration::from_micros(50));
+        assert!(sim.events_processed() > 100);
+        assert_eq!(sim.wall_clock_reads(), 0);
+
+        // Plane on: scheduler metrics and the self-profiler together.
+        let mut sim = Sim::new(35);
+        sim.enable_scheduler_metrics();
+        sim.attach_self_profiler(Profiler::attached(
+            std::sync::Arc::new(CostAccount::default()),
+            u16::MAX,
+            Component::Sim,
+            true,
+        ));
+        let (beacon, echo) = beacon_echo(&mut sim);
+        // Starting the nodes costs one read more, once; the budget below
+        // is the steady loop's.
+        sim.run_for(Duration::from_micros(1));
+        let packets = |sim: &Sim| {
+            sim.node_ref::<Beacon>(beacon).replies + sim.node_ref::<Echo>(echo).received
+        };
+        let sweeps = |sim: &Sim| {
+            let m = sim.scheduler_metrics();
+            m.fired(EventClass::Deliver) + m.cancelled(EventClass::Deliver)
+        };
+        let (reads0, events0, packets0, sweeps0) = (
+            sim.wall_clock_reads(),
+            sim.events_processed(),
+            packets(&sim),
+            sweeps(&sim),
+        );
+        let calls = 40;
+        for _ in 0..calls {
+            sim.run_for(Duration::from_nanos(2_500));
+        }
+        let reads = sim.wall_clock_reads() - reads0;
+        let events = sim.events_processed() - events0;
+        let delivered = packets(&sim) - packets0;
+        let sweeps = sweeps(&sim) - sweeps0;
+        assert!(events > 200 && delivered > 50, "{events} events");
+        // 2 per event, 1 per packet beyond the first of its sweep, 1 per
+        // call. Before the stamps were chained the kernel read about 6 per
+        // event.
+        let budget = 2 * events + delivered.saturating_sub(sweeps) + calls;
+        assert!(reads <= budget, "{reads} reads > budget {budget}");
+        assert!(reads >= events, "every pop is stamped: {reads} < {events}");
+    }
+
+    #[test]
+    fn stamps_taken_outside_the_loop_are_real() {
+        use crate::introspect::EventClass;
+
+        /// Sets one timer in `on_start`, then holds the CPU for a while.
+        struct SlowStarter;
+        impl Node for SlowStarter {
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                ctx.set_timer(Duration::from_nanos(10), 0);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            fn on_packet(&mut self, _p: Packet, _c: &mut Ctx) {}
+            fn on_timer(&mut self, _t: u64, _c: &mut Ctx) {}
+        }
+        let mut sim = Sim::new(36);
+        sim.enable_scheduler_metrics();
+        let id = sim.add_node(Box::new(SlowStarter));
+        // Scheduled between runs: the push reads its own stamp.
+        sim.schedule_fault(Instant(20), FaultEvent::NodeUp(id));
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        sim.run();
+        let m = sim.scheduler_metrics();
+        // An unstamped event would record 0; each of these sat in the
+        // queue across a 1 ms sleep after its stamp.
+        let fault = m.dwell_wall(EventClass::Fault);
+        let timer = m.dwell_wall(EventClass::Timer);
+        assert_eq!((fault.count(), timer.count()), (1, 1));
+        assert!(fault.min() >= 1_000_000, "fault dwell {} ns", fault.min());
+        assert!(timer.min() >= 1_000_000, "timer dwell {} ns", timer.min());
     }
 
     #[test]

@@ -211,6 +211,17 @@ impl CostAccount {
         self.count[i].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Charge a batch tallied elsewhere: `ns` nanoseconds over `visits`
+    /// visits, with `allocs` heap allocations, to `phase`. A driver that
+    /// counts its phases locally flushes them here once instead of paying
+    /// the atomics per visit.
+    pub fn add_batch(&self, phase: Phase, ns: u64, visits: u64, allocs: u64) {
+        let i = phase as usize;
+        self.ns[i].fetch_add(ns, Ordering::Relaxed);
+        self.count[i].fetch_add(visits, Ordering::Relaxed);
+        self.add_allocs(phase, allocs);
+    }
+
     /// Attribute `n` heap allocations to `phase` (scopes charge the delta
     /// of the process-wide counter observed across their lifetime).
     #[inline]
@@ -445,6 +456,17 @@ mod tests {
         p.charge(Phase::PostWqe, 100);
         assert_eq!(acct.total_ns(), 350);
         assert_eq!(acct.phase_ns(Phase::PostDoorbell), 160);
+    }
+
+    #[test]
+    fn batched_charges_land_like_the_visits_they_sum() {
+        let acct = CostAccount::new();
+        acct.add_batch(Phase::SchedPop, 900, 3, 2);
+        acct.add_batch(Phase::SchedPop, 100, 1, 0);
+        assert_eq!(acct.phase_ns(Phase::SchedPop), 1_000);
+        assert_eq!(acct.phase_count(Phase::SchedPop), 4);
+        assert_eq!(acct.phase_allocs(Phase::SchedPop), 2);
+        assert_eq!(acct.total_ns(), 1_000);
     }
 
     #[test]
